@@ -29,6 +29,7 @@ from .model import (
     config_from_items,
     forward,
     load_checkpoint,
+    parse_number,
 )
 from .tensor import no_grad
 from .training import TrainConfig, evaluate, train_loop
@@ -106,10 +107,9 @@ def parse_run_config(path) -> RunConfig:
     for key in TRAIN_KEYS:
         if key not in raw:
             continue
-        if key in ("epochs", "batch_size", "warmup_epochs", "seed"):
-            train_kw[key] = int(raw[key])
-        else:
-            train_kw[key] = float(raw[key])
+        kind = int if key in ("epochs", "batch_size", "warmup_epochs",
+                              "seed") else float
+        train_kw[key] = parse_number(key, raw[key], kind)
     return RunConfig(model, TrainConfig(**train_kw), raw["data_dir"],
                      raw["out_dir"])
 

@@ -161,16 +161,30 @@ def config_from_items(items) -> ModelConfig:
     kw = {}
     for key, value in items:
         if key in ("patch", "input_shape"):
-            kw[key] = tuple(int(v) for v in value.split(","))
+            kw[key] = parse_number(key, value, int, many=True)
         elif key in ("task", "factorization", "cls_mode", "pe_mode",
                      "cls_interactions"):
             kw[key] = value
         elif key in ("n_classes", "dim", "depth_temporal", "depth_spatial",
                      "n_heads", "mlp_ratio"):
-            kw[key] = int(value)
+            kw[key] = parse_number(key, value, int)
         else:
             raise ConfigError(f"unknown model config key {key!r}")
     return ModelConfig(**kw)
+
+
+def parse_number(key: str, value: str, kind: type, many: bool = False):
+    """``kind(value)`` (a tuple of them from a comma list if ``many``).
+
+    A value that does not parse raises ConfigError naming the key and value.
+    """
+    try:
+        if many:
+            return tuple(kind(v) for v in value.split(","))
+        return kind(value)
+    except ValueError:
+        what = f"comma list of {kind.__name__}s" if many else kind.__name__
+        raise ConfigError(f"{key}={value!r} is not a valid {what}") from None
 
 
 def parameter_count(config: ModelConfig, n_temporal_keys=None) -> int:

@@ -10,7 +10,9 @@ ops are recorded as they run.
 
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
-noise; nothing in the training path uses it.
+noise; nothing in the training path uses it. The dtype also selects the GELU
+kernel: float64 uses scipy's exact ``erf``, float32 a rational approximation
+evaluated in cache-sized blocks (see :func:`gelu`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,20 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Odd/even rational erf for float32 (the coefficients Eigen and XLA use),
+# highest power first: erf(z) ~ z * P(z^2) / Q(z^2) on [-4, 4]. Outside that
+# interval erf rounds to +-1 in float32, so inputs are clipped to it.
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+_ERF_CLIP = 4.0
+
+# Elements per block of the float32 GELU: a block's few temporaries stay in
+# cache instead of streaming whole activations through memory.
+_GELU_BLOCK = 1 << 15
 
 
 class Tensor:
@@ -199,12 +215,17 @@ def _record(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, allocating on first touch."""
+    """Add ``g`` into ``t.grad``; the first touch stores a copy of ``g``.
+
+    The copy matters: ``g`` is often a view of another tensor's gradient,
+    which later accumulation into ``t.grad`` must not write through.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g.astype(t.data.dtype)
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -348,7 +369,11 @@ def exp(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy stacking semantics on leading dims."""
+    """Matrix product with numpy stacking semantics on leading dims.
+
+    A 2-D right operand (every ``Affine``) runs as one 2-D GEMM over the
+    flattened leading dims of ``a``, forward and backward.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
             f"matmul requires rank >= 2 operands, got shapes {a.shape} and {b.shape}"
@@ -357,14 +382,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: shapes {a.shape} and {b.shape}"
         )
+    a_data, b_data = a.data, b.data
+    if b.ndim == 2:
+        (k, n), m = b.shape, math.prod(a.shape[:-1])
+        out_data = (a_data.reshape(m, k) @ b_data).reshape(a.shape[:-1] + (n,))
+        out = _result(out_data, a.requires_grad or b.requires_grad)
+
+        def back_2d(g):
+            g2d = g.reshape(m, n)
+            if a.requires_grad:
+                _accum(a, (g2d @ b_data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accum(b, a_data.reshape(m, k).T @ g2d)
+
+        _record(out, back_2d)
+        return out
     try:
-        out_data = a.data @ b.data
+        out_data = a_data @ b_data
     except ValueError as e:
         raise ShapeError(
             f"matmul batch dimensions do not broadcast: shapes {a.shape} and {b.shape}"
         ) from e
     out = _result(out_data, a.requires_grad or b.requires_grad)
-    a_data, b_data = a.data, b.data
 
     def back(g):
         if a.requires_grad:
@@ -596,11 +635,59 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return out
 
 
+def _phi_f32(x: np.ndarray) -> np.ndarray:
+    """Gaussian CDF of a float32 block through the rational erf.
+
+    Largest deviation of ``x * _phi_f32(x)`` from the float64 exact form is
+    below ``2e-6 * max(1, |x|)``.
+    """
+    z = x * _INV_SQRT2
+    np.clip(z, -_ERF_CLIP, _ERF_CLIP, out=z)
+    z2 = z * z
+    p = _ERF_P[0] * z2
+    for c in _ERF_P[1:-1]:
+        p += c
+        p *= z2
+    p += _ERF_P[-1]
+    p *= z
+    q = _ERF_Q[0] * z2
+    for c in _ERF_Q[1:-1]:
+        q += c
+        q *= z2
+    q += _ERF_Q[-1]
+    p /= q
+    p *= 0.5
+    p += 0.5
+    return p
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: ``x * Phi(x)``."""
+    """Exact Gaussian-CDF GELU: ``x * Phi(x)``.
+
+    float64 input takes ``Phi`` from scipy's exact ``erf``; float32 input
+    from :func:`_phi_f32`, one block of ``_GELU_BLOCK`` elements at a time.
+    ``Phi`` is kept for the backward pass only when the op is recorded.
+    """
     x = a.data
-    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = _result((x * phi_cdf).astype(x.dtype), a.requires_grad)
+    keep = a.requires_grad and is_grad_enabled()
+    if x.dtype == np.float64:
+        phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        out_data = x * phi_cdf
+    else:
+        flat = x.reshape(-1)
+        out_data = np.empty_like(flat)
+        phi_cdf = np.empty_like(flat) if keep else None
+        for i in range(0, flat.size, _GELU_BLOCK):
+            s = slice(i, i + _GELU_BLOCK)
+            phi = _phi_f32(flat[s])
+            np.multiply(flat[s], phi, out=out_data[s])
+            if keep:
+                phi_cdf[s] = phi
+        out_data = out_data.reshape(x.shape)
+    out = _result(out_data, a.requires_grad)
+    if not keep:
+        return out
+    phi_cdf = phi_cdf.reshape(x.shape)
 
     def back(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI

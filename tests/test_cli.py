@@ -280,6 +280,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["epochs=abc", "dim=x", "peak_lr=fast",
+                                  "patch=1,a,2"])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data_dir=x\nout_dir=y\n{line}\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    key, _, value = line.partition("=")
+    err = capsys.readouterr().err
+    assert f"{key}={value!r}" in err
+
+
 def test_missing_data_dir_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("out_dir=y\n")

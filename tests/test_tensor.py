@@ -59,15 +59,33 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
     def test_gradcheck_batched(self):
+        # 3-D and 4-D left operands against a 2-D weight take the flattened
+        # one-GEMM path; transposing (4, 3, 2) gives a non-contiguous one.
         rng = np.random.default_rng(1)
-        a = t64(rng.standard_normal((2, 3, 4)))
         b = t64(rng.standard_normal((4, 5)))
+        for shape, axes in (((2, 3, 4), None), ((2, 2, 3, 4), None),
+                            ((4, 3, 2), (2, 1, 0))):
+            a = t64(rng.standard_normal(shape))
 
-        def loss(params):
-            a_, b_ = params
-            return ((a_ @ b_) * (a_ @ b_)).sum()
+            def loss(params):
+                a_, b_ = params
+                if axes is not None:
+                    a_ = a_.transpose(axes)
+                return ((a_ @ b_) * (a_ @ b_)).sum()
 
-        assert check_gradients(loss, [a, b]) < 1e-6
+            assert check_gradients(loss, [a, b]) < 1e-6
+            lhs = a.data if axes is None else a.data.transpose(axes)
+            np.testing.assert_allclose((T.as_tensor(lhs) @ b).data,
+                                       lhs @ b.data, rtol=1e-12)
+        # Batched 3-D @ 3-D keeps numpy's broadcasting and its error message.
+        a = t64(rng.standard_normal((2, 3, 4)))
+        c = t64(rng.standard_normal((1, 4, 5)))
+        backward((a @ c).sum())
+        assert c.grad.shape == (1, 4, 5)
+        with pytest.raises(ShapeError, match="do not broadcast"):
+            a @ t64(rng.standard_normal((3, 4, 5)))
+        with pytest.raises(ShapeError, match="inner dimensions disagree"):
+            a @ t64(rng.standard_normal((5, 4)))
 
     def test_rejects_vectors(self):
         with pytest.raises(ShapeError):
@@ -170,6 +188,36 @@ class TestGelu:
 
         assert check_gradients(loss, [x]) < 1e-4
 
+    def test_float32_error_bound(self):
+        # The float32 path uses a rational erf; bound its deviation from the
+        # exact float64 form on a grid that spans several kernel blocks.
+        from scipy.special import erf
+
+        x = np.concatenate([np.linspace(-12, 12, 100_001),
+                            [0.0, 1e-30, -1e-30, np.inf, -np.inf]])
+        x32 = x.astype(np.float32)
+        x64 = x32.astype(np.float64)
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) is nan
+            out = T.gelu(Tensor(x32)).data
+            exact = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+        assert out.dtype == np.float32
+        assert T.gelu(Tensor([0.0])).data[0] == 0.0
+        finite = np.isfinite(x64)
+        err = np.abs(out[finite] - exact[finite])
+        assert np.all(err <= 2e-6 * np.maximum(1.0, np.abs(x64[finite])))
+        np.testing.assert_array_equal(out[~finite], exact[~finite])
+
+    def test_float32_gradient_matches_float64(self):
+        rng = np.random.default_rng(8)
+        x_data = 3.0 * rng.standard_normal((3, 30000))  # several blocks
+        grads = []
+        for dtype in (np.float32, np.float64):
+            x = Tensor(x_data.astype(dtype), requires_grad=True)
+            backward((T.gelu(x) * T.gelu(x)).sum())
+            assert x.grad.dtype == dtype
+            grads.append(x.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-4, atol=1e-5)
+
 
 class TestBackward:
     def test_linear_case(self):
@@ -205,6 +253,24 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [4.0])
         x.zero_grad()
         assert x.grad is None
+
+    def test_first_touch_gradients_never_alias(self):
+        # The first gradient a tensor receives is often a view of another
+        # tensor's gradient; storing it by reference would make later
+        # accumulation write through into the other tensor.
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.ones(3), requires_grad=True)
+        for step in (1, 2):
+            y = a + b
+            backward(y.sum())
+            assert not np.shares_memory(a.grad, b.grad)
+            z = x + 0.0
+            backward((z * 3.0).sum())
+            assert not np.shares_memory(x.grad, z.grad)
+            np.testing.assert_array_equal(a.grad, [step] * 3)
+            np.testing.assert_array_equal(b.grad, [step] * 3)
+            np.testing.assert_array_equal(x.grad, [3 * step] * 3)
 
     def test_two_runs_bitwise_identical(self):
         def run():
