@@ -54,7 +54,7 @@ from .nn import (
     msa_forward,
     transformer_block,
 )
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import Tensor, backward, no_grad
 from .training import (
     AdamWState,
     LRSchedule,
@@ -88,7 +88,6 @@ __all__ = [
     "SitsSeries",
     "SitsformerError",
     "SpatialPositionTable",
-    "Tape",
     "TemporalPositionTable",
     "Tensor",
     "TrainConfig",

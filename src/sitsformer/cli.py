@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .container import atomic_open, config_from_items, config_text
 from .data import (
     load_split,
     generate_synthetic_dataset,
@@ -23,23 +24,11 @@ from .data import (
 from .embedding import SitsSeries
 from .errors import ConfigError, DataError, SitsformerError
 from .metrics import write_confusion
-from .model import (
-    ModelConfig,
-    SitsFormer,
-    config_from_items,
-    forward,
-    load_checkpoint,
-    parse_number,
-)
+from .model import ModelConfig, SitsFormer, forward, load_checkpoint
 from .tensor import no_grad
 from .training import TrainConfig, evaluate, train_loop
 
 log = logging.getLogger("sitsformer")
-
-MODEL_KEYS = tuple(k for k, _ in ModelConfig().to_items())
-TRAIN_KEYS = ("epochs", "batch_size", "warmup_epochs", "peak_lr", "floor_lr",
-              "weight_decay", "focal_gamma", "seed")
-PATH_KEYS = ("data_dir", "out_dir")
 
 # Pairwise-distinct colors; index k renders class k. Background is black.
 DEFAULT_PALETTE = (
@@ -57,22 +46,6 @@ class RunConfig:
     train: TrainConfig
     data_dir: str
     out_dir: str
-
-    def to_items(self):
-        items = list(self.model.to_items())
-        items += [
-            ("epochs", str(self.train.epochs)),
-            ("batch_size", str(self.train.batch_size)),
-            ("warmup_epochs", str(self.train.warmup_epochs)),
-            ("peak_lr", repr(self.train.peak_lr)),
-            ("floor_lr", repr(self.train.floor_lr)),
-            ("weight_decay", repr(self.train.weight_decay)),
-            ("focal_gamma", repr(self.train.focal_gamma)),
-            ("seed", str(self.train.seed)),
-            ("data_dir", self.data_dir),
-            ("out_dir", self.out_dir),
-        ]
-        return items
 
 
 def parse_run_config(path) -> RunConfig:
@@ -94,32 +67,18 @@ def parse_run_config(path) -> RunConfig:
         value = value.strip()
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in MODEL_KEYS + TRAIN_KEYS + PATH_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value
-    for required in PATH_KEYS:
-        if required not in raw:
-            raise ConfigError(f"run config is missing {required!r}")
-    model = config_from_items(
-        [(k, v) for k, v in raw.items() if k in MODEL_KEYS]
-    )
-    train_kw = {}
-    for key in TRAIN_KEYS:
-        if key not in raw:
-            continue
-        kind = int if key in ("epochs", "batch_size", "warmup_epochs",
-                              "seed") else float
-        train_kw[key] = parse_number(key, raw[key], kind)
-    return RunConfig(model, TrainConfig(**train_kw), raw["data_dir"],
-                     raw["out_dir"])
+    try:
+        return config_from_items(RunConfig, raw.items())
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def write_resolved_config(run: RunConfig) -> str:
     os.makedirs(run.out_dir, exist_ok=True)
     path = os.path.join(run.out_dir, "resolved.cfg")
-    with open(path, "w", encoding="utf-8") as f:
-        for key, value in run.to_items():
-            f.write(f"{key}={value}\n")
+    with atomic_open(path, "w") as f:
+        f.write(config_text(run))
     return path
 
 

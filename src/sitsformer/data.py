@@ -1,19 +1,19 @@
 """Sample container format, synthetic dataset generation, and transforms.
 
-Samples live one per file: a small little-endian header, the acquisition
-days, the raster block, and the labels. The synthetic generator fills a
-grid with rectangular parcels on a background margin and gives every parcel
-a class-specific seasonal curve, so class identity is carried by the timing
-of the signal rather than by its amplitude.
+Samples live one per file in the shared container (see container.py): the
+label kind and dimensions, the acquisition days, the raster block, and the
+labels. The synthetic generator fills a grid with rectangular parcels on a
+background margin and gives every parcel a class-specific seasonal curve,
+so class identity is carried by the timing of the signal rather than by
+its amplitude.
 """
 
-import io
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, DataError, FormatError, ShapeError
 
 SAMPLE_MAGIC = b"SITS"
@@ -96,65 +96,36 @@ class SitsRecord:
 def write_sample(path, record: SitsRecord) -> None:
     """Serialize one record; the read side reproduces it bit for bit."""
     T, H, W, C = record.values.shape
-    buf = io.BytesIO()
-    buf.write(SAMPLE_MAGIC)
-    buf.write(struct.pack("<H", SAMPLE_VERSION))
-    buf.write(struct.pack("<BHHHH", _KIND_TO_CODE[record.kind], T, H, W, C))
-    buf.write(record.dates.astype("<u2").tobytes())
-    buf.write(np.ascontiguousarray(record.values, dtype="<f4").tobytes())
-    if record.kind == KIND_SEGMENTATION:
-        buf.write(record.labels.astype("<u2").tobytes())
-    else:
-        buf.write(struct.pack("<H", record.labels))
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    with container.create(path, SAMPLE_MAGIC, SAMPLE_VERSION) as w:
+        w.pack("<BHHHH", _KIND_TO_CODE[record.kind], T, H, W, C)
+        w.array(record.dates, "<u2")
+        w.array(record.values, "<f4")
+        if record.kind == KIND_SEGMENTATION:
+            w.array(record.labels, "<u2")
+        else:
+            w.pack("<H", record.labels)
 
 
 def read_sample(path) -> SitsRecord:
     """Parse one sample file; any malformation fails with a byte offset."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FormatError(
-                f"sample truncated: wanted {n} bytes, file has "
-                f"{len(blob) - pos} left",
-                offset=pos,
-            )
-        piece = blob[pos : pos + n]
-        pos += n
-        return piece
-
-    if take(4) != SAMPLE_MAGIC:
-        raise FormatError("not a sample file (bad magic)", offset=0)
-    (version,) = struct.unpack("<H", take(2))
-    if version != SAMPLE_VERSION:
+    r = container.Reader(path, SAMPLE_MAGIC, "sample")
+    if r.version != SAMPLE_VERSION:
         raise FormatError(
-            f"sample version {version} unsupported (this build reads "
+            f"sample version {r.version} unsupported (this build reads "
             f"{SAMPLE_VERSION})",
             offset=4,
         )
-    kind_code, T, H, W, C = struct.unpack("<BHHHH", take(9))
+    kind_code, T, H, W, C = r.unpack("<BHHHH")
     if kind_code not in _CODE_TO_KIND:
         raise FormatError(f"unknown label kind code {kind_code}", offset=6)
     kind = _CODE_TO_KIND[kind_code]
-    dates = np.frombuffer(take(2 * T), dtype="<u2").astype(np.int64)
-    values = np.frombuffer(take(4 * T * H * W * C), dtype="<f4").reshape(
-        T, H, W, C
-    )
+    dates = r.array("<u2", (T,)).astype(np.int64)
+    values = r.array("<f4", (T, H, W, C))
     if kind == KIND_SEGMENTATION:
-        labels = np.frombuffer(take(2 * H * W), dtype="<u2").astype(
-            np.int64
-        ).reshape(H, W)
+        labels = r.array("<u2", (H, W)).astype(np.int64)
     else:
-        (labels,) = struct.unpack("<H", take(2))
-    if pos != len(blob):
-        raise FormatError(
-            f"trailing data: {len(blob) - pos} unexpected bytes", offset=pos
-        )
+        (labels,) = r.unpack("<H")
+    r.end()
     return SitsRecord(values, dates, labels, kind)
 
 
@@ -388,11 +359,11 @@ class DatasetManifest:
 
 def write_manifest(directory, manifest: DatasetManifest) -> None:
     path = os.path.join(directory, "manifest.csv")
-    with open(path, "w", encoding="utf-8") as f:
+    with container.atomic_open(path, "w") as f:
         f.write("path,split,seed\n")
         for sample_path, split in manifest.entries:
             f.write(f"{sample_path},{split},{manifest.seed}\n")
-    with open(os.path.join(directory, "classes.txt"), "w", encoding="utf-8") as f:
+    with container.atomic_open(os.path.join(directory, "classes.txt"), "w") as f:
         for name in manifest.class_names:
             f.write(name + "\n")
 

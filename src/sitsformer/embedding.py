@@ -77,19 +77,6 @@ def tokenize_sits(values: Tensor, patch, embed: Affine) -> Tensor:
     return embed(x)
 
 
-def untokenize(patches: Tensor, patch, channels: int) -> Tensor:
-    """Inverse of the patch cut: (N_T, N_H, N_W, t*h*w*C) back to pixels."""
-    t, h, w = patch
-    n_t, n_h, n_w, flat = patches.shape
-    if flat != t * h * w * channels:
-        raise ShapeError(
-            f"last dim {flat} is not a ({t}, {h}, {w}, {channels}) patch"
-        )
-    x = reshape(patches, (n_t, n_h, n_w, t, h, w, channels))
-    x = transpose(x, (0, 3, 1, 4, 2, 5, 6))
-    return reshape(x, (n_t * t, n_h * h, n_w * w, channels))
-
-
 class TemporalPositionTable:
     """Learned per-day position rows, keyed by acquisition day.
 

@@ -11,12 +11,11 @@ order, number of cls tokens, temporal position source, and whether class
 streams may attend to each other.
 """
 
-import io
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .embedding import (
     ClsTokenBank,
     SitsSeries,
@@ -26,7 +25,7 @@ from .embedding import (
     build_temporal_input,
     tokenize_sits,
 )
-from .errors import CompatibilityError, ConfigError, FormatError, ShapeError
+from .errors import CompatibilityError, ConfigError, ShapeError
 from .nn import INIT_STD, Affine, EncoderWeights, encoder_forward, trunc_normal
 from .tensor import DEFAULT_DTYPE, Tensor, getitem, matmul, reshape, tmean, transpose
 
@@ -136,55 +135,6 @@ class ModelConfig:
             per_pixel = self.n_classes if self.cls_mode == "single" else 1
             return h * w * per_pixel
         return 1 if self.cls_mode == "per_class" else self.n_classes
-
-    def to_items(self):
-        """Flat key=value view used by checkpoints and run configs."""
-        return [
-            ("n_classes", str(self.n_classes)),
-            ("dim", str(self.dim)),
-            ("depth_temporal", str(self.depth_temporal)),
-            ("depth_spatial", str(self.depth_spatial)),
-            ("n_heads", str(self.n_heads)),
-            ("mlp_ratio", str(self.mlp_ratio)),
-            ("patch", ",".join(str(v) for v in self.patch)),
-            ("input_shape", ",".join(str(v) for v in self.input_shape)),
-            ("task", self.task),
-            ("factorization", self.factorization),
-            ("cls_mode", self.cls_mode),
-            ("pe_mode", self.pe_mode),
-            ("cls_interactions", self.cls_interactions),
-        ]
-
-
-def config_from_items(items) -> ModelConfig:
-    """Rebuild a ModelConfig from its to_items() key=value form."""
-    kw = {}
-    for key, value in items:
-        if key in ("patch", "input_shape"):
-            kw[key] = parse_number(key, value, int, many=True)
-        elif key in ("task", "factorization", "cls_mode", "pe_mode",
-                     "cls_interactions"):
-            kw[key] = value
-        elif key in ("n_classes", "dim", "depth_temporal", "depth_spatial",
-                     "n_heads", "mlp_ratio"):
-            kw[key] = parse_number(key, value, int)
-        else:
-            raise ConfigError(f"unknown model config key {key!r}")
-    return ModelConfig(**kw)
-
-
-def parse_number(key: str, value: str, kind: type, many: bool = False):
-    """``kind(value)`` (a tuple of them from a comma list if ``many``).
-
-    A value that does not parse raises ConfigError naming the key and value.
-    """
-    try:
-        if many:
-            return tuple(kind(v) for v in value.split(","))
-        return kind(value)
-    except ValueError:
-        what = f"comma list of {kind.__name__}s" if many else kind.__name__
-        raise ConfigError(f"{key}={value!r} is not a valid {what}") from None
 
 
 def parameter_count(config: ModelConfig, n_temporal_keys=None) -> int:
@@ -388,96 +338,32 @@ def _check_series(series: SitsSeries, cfg: ModelConfig) -> None:
 # -- checkpoint io --------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _CheckpointHeader:
+    """Everything a checkpoint needs besides weights to rebuild its model."""
+
+    config: ModelConfig
+    temporal_keys: tuple
+
+
 def save_checkpoint(path, model: SitsFormer) -> None:
     """Write config, temporal day keys, and all weights, 32-bit little-endian."""
-    header_lines = [f"{k}={v}" for k, v in model.config.to_items()]
-    keys = ",".join(str(int(k)) for k in model.temporal_pe.keys)
-    header_lines.append(f"temporal_keys={keys}")
-    header = ("\n".join(header_lines) + "\n").encode("utf-8")
-    params = model.named_parameters()
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
-    buf.write(struct.pack("<I", len(params)))
-    for name, p in params:
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", p.ndim))
-        buf.write(struct.pack(f"<{p.ndim}I", *p.shape))
-        buf.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
-
-
-class _CheckpointReader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(
-                f"checkpoint truncated: wanted {n} bytes", offset=self.pos
-            )
-        piece = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return piece
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    keys = tuple(int(k) for k in model.temporal_pe.keys)
+    with container.create(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as w:
+        w.header(_CheckpointHeader(model.config, keys))
+        w.tensors([(n, (p.data,)) for n, p in model.named_parameters()])
 
 
 def load_checkpoint(path) -> SitsFormer:
     """Rebuild a model from a checkpoint file."""
-    with open(path, "rb") as f:
-        r = _CheckpointReader(f.read())
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise FormatError("not a model checkpoint (bad magic)", offset=0)
-    (version,) = r.unpack("<H")
-    if version != CHECKPOINT_VERSION:
+    r = container.Reader(path, CHECKPOINT_MAGIC, "checkpoint")
+    if r.version != CHECKPOINT_VERSION:
         raise CompatibilityError(
-            f"checkpoint version {version} unsupported "
+            f"checkpoint version {r.version} unsupported "
             f"(this build reads {CHECKPOINT_VERSION})"
         )
-    (header_len,) = r.unpack("<I")
-    header = r.take(header_len).decode("utf-8")
-    items = []
-    temporal_keys = None
-    for line in header.splitlines():
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        if key == "temporal_keys":
-            temporal_keys = np.array(
-                [int(v) for v in value.split(",")], dtype=np.int64
-            )
-        else:
-            items.append((key, value))
-    config = config_from_items(items)
-    model = SitsFormer(config, temporal_keys=temporal_keys, seed=0)
-    expected = dict(model.named_parameters())
-    (n_params,) = r.unpack("<I")
-    if n_params != len(expected):
-        raise CompatibilityError(
-            f"checkpoint stores {n_params} tensors, model has {len(expected)}"
-        )
-    for _ in range(n_params):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        if name not in expected:
-            raise CompatibilityError(f"checkpoint tensor {name!r} unknown to model")
-        p = expected[name]
-        if shape != p.shape:
-            raise CompatibilityError(
-                f"checkpoint tensor {name!r} has shape {shape}, model wants "
-                f"{p.shape}"
-            )
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(4 * count)
-        p.data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    header = r.header(_CheckpointHeader)
+    model = SitsFormer(header.config, temporal_keys=header.temporal_keys, seed=0)
+    r.tensors([(n, (p.data,)) for n, p in model.named_parameters()])
+    r.end()
     return model

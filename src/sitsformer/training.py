@@ -7,20 +7,18 @@ bit from (seed, data), and a resumed run continues the uninterrupted one
 exactly.
 """
 
-import io
 import math
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .embedding import SitsSeries
 from .errors import (
     CompatibilityError,
     ConfigError,
     DataError,
-    FormatError,
     ShapeError,
     TrainingDiverged,
 )
@@ -311,85 +309,40 @@ def evaluate(model: SitsFormer, samples):
 # -- training state io ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _StateHeader:
+    epoch: int
+    global_step: int
+    opt_step: int
+    best_miou: float
+
+
+def _state_tensors(model: SitsFormer, opt: AdamWState):
+    return [
+        (name, (p.data, m, v))
+        for (name, p), m, v in zip(model.named_parameters(), opt.m, opt.v)
+    ]
+
+
 def save_training_state(path, model: SitsFormer, opt: AdamWState, epoch: int,
                         global_step: int, best_miou: float) -> None:
     """Write weights plus optimizer moments so a run can continue bitwise."""
-    header = (
-        f"epoch={epoch}\n"
-        f"global_step={global_step}\n"
-        f"opt_step={opt.step_count}\n"
-        f"best_miou={best_miou!r}\n"
-    ).encode("utf-8")
-    params = model.named_parameters()
-    buf = io.BytesIO()
-    buf.write(STATE_MAGIC)
-    buf.write(struct.pack("<H", STATE_VERSION))
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
-    buf.write(struct.pack("<I", len(params)))
-    for (name, p), m, v in zip(params, opt.m, opt.v):
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", p.ndim))
-        buf.write(struct.pack(f"<{p.ndim}I", *p.shape))
-        buf.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-        buf.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-        buf.write(np.ascontiguousarray(v, dtype="<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    header = _StateHeader(epoch, global_step, opt.step_count, best_miou)
+    with container.create(path, STATE_MAGIC, STATE_VERSION) as w:
+        w.header(header)
+        w.tensors(_state_tensors(model, opt))
 
 
 def load_training_state(path, model: SitsFormer, opt: AdamWState):
     """Restore weights and moments in place; returns (epoch, step, best_miou)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FormatError(f"state truncated: wanted {n} bytes", offset=pos)
-        piece = blob[pos : pos + n]
-        pos += n
-        return piece
-
-    if take(4) != STATE_MAGIC:
-        raise FormatError("not a training state file (bad magic)", offset=0)
-    (version,) = struct.unpack("<H", take(2))
-    if version != STATE_VERSION:
-        raise CompatibilityError(f"training state version {version} unsupported")
-    (header_len,) = struct.unpack("<I", take(4))
-    fields = dict(
-        line.partition("=")[::2]
-        for line in take(header_len).decode("utf-8").splitlines()
-        if line
-    )
-    epoch = int(fields["epoch"])
-    global_step = int(fields["global_step"])
-    best_miou = float(fields["best_miou"])
-    opt.step_count = int(fields["opt_step"])
-    expected = model.named_parameters()
-    (n_params,) = struct.unpack("<I", take(4))
-    if n_params != len(expected):
+    r = container.Reader(path, STATE_MAGIC, "training state")
+    if r.version != STATE_VERSION:
         raise CompatibilityError(
-            f"state stores {n_params} tensors, model has {len(expected)}"
+            f"training state version {r.version} unsupported "
+            f"(this build reads {STATE_VERSION})"
         )
-    for (name, p), m, v in zip(expected, opt.m, opt.v):
-        (name_len,) = struct.unpack("<H", take(2))
-        stored = take(name_len).decode("utf-8")
-        if stored != name:
-            raise CompatibilityError(
-                f"state tensor {stored!r} does not match model tensor {name!r}"
-            )
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        if shape != p.shape:
-            raise CompatibilityError(
-                f"state tensor {name!r} has shape {shape}, model wants {p.shape}"
-            )
-        count = int(np.prod(shape)) if shape else 1
-        p.data[...] = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-        m[...] = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-        v[...] = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-    return epoch, global_step, best_miou
+    header = r.header(_StateHeader)
+    r.tensors(_state_tensors(model, opt))
+    r.end()
+    opt.step_count = header.opt_step
+    return header.epoch, header.global_step, header.best_miou

@@ -308,6 +308,20 @@ def test_eval_without_checkpoint_exits_1(dataset, tmp_path):
     assert main(["eval", "--config", cfg, "--split", "train"]) == 1
 
 
+def test_corrupt_checkpoint_exits_1(trained, tmp_path, capsys):
+    _, _, out, cfg = trained
+    blob = bytearray((out / "best.ckpt").read_bytes())
+    digit = blob.index(b"temporal_keys=") + len(b"temporal_keys=")
+    blob[digit : digit + 1] = b"x"
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    assert main(["eval", "--config", cfg, "--checkpoint", str(bad),
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad checkpoint header")
+    assert "temporal_keys='x" in err and "byte offset 10" in err
+
+
 def test_class_count_mismatch_exits_2(dataset, tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "o",
                      n_classes="7")

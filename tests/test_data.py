@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _formats import FORMATS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,11 +110,15 @@ class TestSampleFile:
         assert err.value.offset <= cut
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "x.sits"
-        d.write_sample(path, small_record())
-        path.write_bytes(path.read_bytes() + b"??")
-        with pytest.raises(FormatError, match="trailing"):
-            d.read_sample(path)
+        # Every container format shares the end-of-body check.
+        for fmt, (write, read) in FORMATS.items():
+            path = tmp_path / fmt
+            write(path)
+            size = path.stat().st_size
+            path.write_bytes(path.read_bytes() + b"\x00" * 4)
+            with pytest.raises(FormatError, match="trailing") as err:
+                read(path)
+            assert err.value.offset == size, fmt
 
 
 class TestPhenologySpec:

@@ -63,16 +63,6 @@ class TestTokenize:
         with pytest.raises(ConfigError, match=r"W=9 mod 4"):
             emb.tokenize_sits(x, (1, 4, 4), aff)
 
-    def test_identity_projection_round_trip(self):
-        # With a d = t*h*w*C identity embedding, cutting then reassembling
-        # patches must reproduce every pixel bitwise.
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 6, 8, 2)).astype(np.float32)
-        aff = identity_affine(1 * 2 * 2 * 2)
-        grid = emb.tokenize_sits(Tensor(x), (1, 2, 2), aff)
-        back = emb.untokenize(grid, (1, 2, 2), 2)
-        np.testing.assert_array_equal(back.data, x)
-
     def test_temporal_patch_groups_frames(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 2, 2, 1)).astype(np.float32)

@@ -1,11 +1,16 @@
 """Tests for the full model: wiring, comparison axes, counts, checkpoints."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
+from _formats import FORMATS, HEADER_FORMATS, HEADER_TEXT_OFFSET
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sitsformer import model as m
+from sitsformer.container import config_from_items, config_items
 from sitsformer.embedding import SitsSeries
 from sitsformer.errors import CompatibilityError, ConfigError, FormatError
 from sitsformer.tensor import Tensor, no_grad
@@ -51,11 +56,11 @@ class TestConfig:
     def test_items_round_trip(self):
         cfg = m.ModelConfig(**{**TOY, "task": "classification",
                                "cls_mode": "single"})
-        assert m.config_from_items(cfg.to_items()) == cfg
+        assert config_from_items(m.ModelConfig, config_items(cfg)) == cfg
 
     def test_unknown_item_key(self):
         with pytest.raises(ConfigError, match="mystery"):
-            m.config_from_items([("mystery", "1")])
+            config_from_items(m.ModelConfig, [("mystery", "1")])
 
 
 class TestTemporalEncode:
@@ -302,29 +307,55 @@ class TestCheckpoint:
                 m.forward(series, model).data, m.forward(series, loaded).data
             )
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
+    @pytest.mark.parametrize("fmt", HEADER_FORMATS)
+    def test_bad_magic(self, tmp_path, fmt):
+        path = tmp_path / "junk"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(FormatError) as err:
-            m.load_checkpoint(path)
+            FORMATS[fmt][1](path)
         assert err.value.offset == 0
 
-    def test_version_bump_rejected(self, tmp_path):
-        model = toy_model()
-        path = tmp_path / "model.ckpt"
-        m.save_checkpoint(path, model)
+    @pytest.mark.parametrize("fmt", HEADER_FORMATS)
+    def test_version_bump_rejected(self, tmp_path, fmt):
+        write, read = FORMATS[fmt]
+        path = tmp_path / fmt
+        write(path)
         blob = bytearray(path.read_bytes())
         blob[4:6] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CompatibilityError, match="99"):
-            m.load_checkpoint(path)
+            read(path)
 
-    def test_truncation_reports_offset(self, tmp_path):
-        model = toy_model()
-        path = tmp_path / "model.ckpt"
-        m.save_checkpoint(path, model)
+    @pytest.mark.parametrize("fmt", HEADER_FORMATS)
+    def test_truncation_reports_offset(self, tmp_path, fmt):
+        write, read = FORMATS[fmt]
+        path = tmp_path / fmt
+        write(path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError) as err:
-            m.load_checkpoint(path)
+            read(path)
         assert err.value.offset <= len(blob) // 2
+
+    @pytest.mark.parametrize("fmt, edit", [
+        ("checkpoint", lambda t: t.replace(b"temporal_keys=", b"temporal_keys=x")),
+        ("checkpoint", lambda t: t.replace(b"\n", b"\n\xff", 1)),
+        ("checkpoint", lambda t: t.replace(b"dim=8", b"dim=3")),
+        ("state", lambda t: t.replace(b"\n", b"\n\xff", 1)),
+        ("state", lambda t: t.replace(b"epoch=3\n", b"epoch=x\n")),
+        ("state", lambda t: re.sub(rb"opt_step=\d+\n", b"", t)),
+    ], ids=["bad-temporal-key", "ckpt-not-utf8", "invalid-config",
+            "state-not-utf8", "bad-epoch", "missing-opt-step"])
+    def test_corrupt_header_is_format_error(self, tmp_path, fmt, edit):
+        write, read = FORMATS[fmt]
+        path = tmp_path / fmt
+        write(path)
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[6:10])
+        text = edit(blob[10 : 10 + n])
+        assert text != blob[10 : 10 + n]
+        path.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text
+                         + blob[10 + n :])
+        with pytest.raises(FormatError, match="header") as err:
+            read(path)
+        assert err.value.offset == HEADER_TEXT_OFFSET
