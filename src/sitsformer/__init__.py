@@ -9,18 +9,17 @@ sample format with a synthetic phenology generator, and a command line.
 from .data import (
     DatasetManifest,
     SitsRecord,
+    SitsSeries,
     generate_sample,
     generate_synthetic_dataset,
     load_split,
     make_classification_sample,
     read_manifest,
     read_sample,
-    split_into_patches,
     write_manifest,
     write_sample,
 )
 from .embedding import (
-    SitsSeries,
     SpatialPositionTable,
     TemporalPositionTable,
     tokenize_sits,
@@ -114,7 +113,6 @@ __all__ = [
     "read_manifest",
     "read_sample",
     "save_checkpoint",
-    "split_into_patches",
     "tokenize_sits",
     "train_loop",
     "transformer_block",

@@ -21,10 +21,15 @@ from .data import (
     read_manifest,
     read_sample,
 )
-from .embedding import SitsSeries
 from .errors import ConfigError, DataError, SitsformerError
 from .metrics import write_confusion
-from .model import ModelConfig, SitsFormer, forward, load_checkpoint
+from .model import (
+    ModelConfig,
+    SitsFormer,
+    check_series,
+    forward,
+    load_checkpoint,
+)
 from .tensor import no_grad
 from .training import TrainConfig, evaluate, train_loop
 
@@ -104,7 +109,7 @@ def render_class_map(pred, palette=DEFAULT_PALETTE, background_label=None):
 
 
 def write_class_map(path, pred, palette=DEFAULT_PALETTE, background_label=None):
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(render_class_map(pred, palette, background_label))
 
 
@@ -119,13 +124,8 @@ def _load_records(run: RunConfig, split: str):
             f"{run.model.n_classes}"
         )
     records = load_split(run.data_dir, manifest, split)
-    expected = run.model.input_shape
     for record in records:
-        if tuple(record.values.shape) != tuple(expected):
-            raise DataError(
-                f"sample shape {record.values.shape} does not match "
-                f"configured input {tuple(expected)}"
-            )
+        check_series(record, run.model)
     if run.model.task == "classification":
         records = [
             out for record in records
@@ -216,8 +216,8 @@ def _cmd_eval(args) -> int:
     write_confusion(
         os.path.join(run.out_dir, f"confusion_{args.split}.txt"), cm
     )
-    with open(os.path.join(run.out_dir, f"metrics_{args.split}.txt"), "w",
-              encoding="utf-8") as f:
+    with atomic_open(os.path.join(run.out_dir, f"metrics_{args.split}.txt"),
+                     "w") as f:
         f.write(f"OA={oa:.6f}\nmIoU={miou:.6f}\nmAcc={macc:.6f}\n")
     print(f"OA {oa:.4f}  mIoU {miou:.4f}  mAcc {macc:.4f}")
     print("class  ref_px  iou      recall")
@@ -231,9 +231,8 @@ def _cmd_predict(args) -> int:
     ckpt = args.checkpoint or _build_trained_paths(run.out_dir)[1]
     model = load_checkpoint(ckpt)
     record = read_sample(args.sample)
-    series = SitsSeries(record.values, record.dates)
     with no_grad():
-        logits = forward(series, model)
+        logits = forward(record, model)
     pred = np.argmax(logits.data, axis=-1)
     write_class_map(args.out, pred)
     log.info("wrote prediction map %s", args.out)
@@ -272,7 +271,7 @@ def _cmd_ablate(args) -> int:
             rows.append((axis, setting, miou))
             log.info("ablation %s=%s -> mIoU %.4f", axis, setting, miou)
     table_path = os.path.join(run.out_dir, "ablation.csv")
-    with open(table_path, "w", encoding="utf-8") as f:
+    with atomic_open(table_path, "w") as f:
         f.write("axis,setting,mIoU\n")
         for axis, setting, miou in rows:
             f.write(f"{axis},{setting},{miou:.6f}\n")

@@ -27,32 +27,48 @@ _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
 SPLITS = ("train", "val", "test")
 
 
-class SitsRecord:
-    """One sample: raster values (T, H, W, C), acquisition days, labels.
+class SitsSeries:
+    """A (values, dates) pair: values (T, H, W, C), one int day per frame.
 
-    Labels are an (H, W) integer map for segmentation or a single integer
-    for classification. Day indices and labels must fit in 16 bits, which
-    is what the file format stores.
+    values stay the array they were given: tokenize_sits wraps them, and
+    its dtype rule keeps float64 input float64.
     """
 
-    __slots__ = ("values", "dates", "labels", "kind")
+    __slots__ = ("values", "dates")
+
+    def __init__(self, values, dates):
+        shape = np.shape(values)
+        if len(shape) != 4:
+            raise ShapeError(f"series values must be (T, H, W, C), got {shape}")
+        dates = np.asarray(dates, dtype=np.int64)
+        if dates.shape != shape[:1]:
+            raise ShapeError(
+                f"need one date per frame: {shape[0]} frames, "
+                f"{dates.shape} dates"
+            )
+        if np.any(np.diff(dates) <= 0):
+            raise DataError("acquisition dates must be strictly increasing")
+        self.values = values
+        self.dates = dates
+
+
+class SitsRecord(SitsSeries):
+    """A float32 series plus labels, within what the file format stores.
+
+    Labels are an (H, W) integer map for segmentation or a single integer
+    for classification. Day indices, dimensions and labels must fit in 16
+    bits.
+    """
+
+    __slots__ = ("labels", "kind")
 
     def __init__(self, values, dates, labels, kind=KIND_SEGMENTATION):
-        values = np.ascontiguousarray(values, dtype=np.float32)
-        if values.ndim != 4:
-            raise ShapeError(f"values must be (T, H, W, C), got {values.shape}")
-        dates = np.asarray(dates, dtype=np.int64)
-        if dates.ndim != 1 or dates.shape[0] != values.shape[0]:
-            raise ShapeError(
-                f"need {values.shape[0]} dates, got shape {dates.shape}"
-            )
-        if dates.size > 1 and not np.all(np.diff(dates) > 0):
-            raise DataError("acquisition dates must be strictly increasing")
-        if np.any(dates < 0) or np.any(dates > 0xFFFF):
+        super().__init__(np.ascontiguousarray(values, dtype=np.float32), dates)
+        if np.any(self.dates < 0) or np.any(self.dates > 0xFFFF):
             raise DataError("dates must fit in 16 bits")
         if kind not in _KIND_TO_CODE:
             raise DataError(f"unknown label kind {kind!r}")
-        T, H, W, C = values.shape
+        T, H, W, C = self.values.shape
         if max(T, H, W, C) > 0xFFFF:
             raise DataError("header dimensions must fit in 16 bits")
         if kind == KIND_SEGMENTATION:
@@ -61,16 +77,12 @@ class SitsRecord:
                 raise ShapeError(
                     f"segmentation labels must be ({H}, {W}), got {labels.shape}"
                 )
+            if np.any(labels < 0) or np.any(labels > 0xFFFF):
+                raise DataError("labels must fit in 16 bits")
         else:
             labels = int(labels)
             if labels < 0 or labels > 0xFFFF:
                 raise DataError(f"classification label {labels} out of range")
-        if kind == KIND_SEGMENTATION and (
-            np.any(labels < 0) or np.any(labels > 0xFFFF)
-        ):
-            raise DataError("labels must fit in 16 bits")
-        self.values = values
-        self.dates = dates
         self.labels = labels
         self.kind = kind
 
@@ -377,11 +389,14 @@ def read_manifest(directory) -> DatasetManifest:
     entries = []
     seed = 0
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"malformed manifest line {line!r}", offset=0)
-        entries.append((parts[0], parts[1]))
-        seed = int(parts[2])
+        try:
+            sample_path, split, seed_text = line.split(",")
+            seed = int(seed_text)
+        except ValueError:
+            raise FormatError(
+                f"malformed manifest line {line!r}", offset=0
+            ) from None
+        entries.append((sample_path, split))
     classes_path = os.path.join(directory, "classes.txt")
     with open(classes_path, encoding="utf-8") as f:
         class_names = [line.strip() for line in f if line.strip()]
@@ -458,26 +473,3 @@ def make_classification_sample(record: SitsRecord, background_label: int):
     if center == background_label:
         return None
     return SitsRecord(record.values, record.dates, center, KIND_CLASSIFICATION)
-
-
-def split_into_patches(record: SitsRecord, size: int):
-    """Non-overlapping size x size tiles, all keeping the full calendar."""
-    if record.kind != KIND_SEGMENTATION:
-        raise DataError("only segmentation samples can be tiled")
-    _, H, W, _ = record.values.shape
-    if size < 1 or H % size != 0 or W % size != 0:
-        raise ConfigError(
-            f"tile size {size} must divide the frame: H={H}, W={W}"
-        )
-    children = []
-    for r0 in range(0, H, size):
-        for c0 in range(0, W, size):
-            children.append(
-                SitsRecord(
-                    record.values[:, r0 : r0 + size, c0 : c0 + size, :],
-                    record.dates,
-                    record.labels[r0 : r0 + size, c0 : c0 + size],
-                    KIND_SEGMENTATION,
-                )
-            )
-    return children

@@ -1,9 +1,9 @@
 """Patch tokenization and position encodings for image time series.
 
-A sample is a stack of T co-registered rasters plus the acquisition day of
-each frame. Tokens are non-overlapping (t, h, w) patches projected to the
-model width; temporal position comes from a per-day lookup table keyed by
-acquisition day rather than by sequence index.
+A sample (data.SitsSeries) is a stack of T co-registered rasters plus the
+acquisition day of each frame. Tokens are non-overlapping (t, h, w) patches
+projected to the model width; temporal position comes from a per-day lookup
+table keyed by acquisition day rather than by sequence index.
 """
 
 import numpy as np
@@ -19,30 +19,6 @@ from .tensor import (
     reshape,
     transpose,
 )
-
-
-class SitsSeries:
-    """A (values, dates) pair: values (T, H, W, C), dates as int day offsets."""
-
-    __slots__ = ("values", "dates")
-
-    def __init__(self, values, dates):
-        if not isinstance(values, Tensor):
-            values = Tensor(values)
-        if values.ndim != 4:
-            raise ShapeError(
-                f"series values must be (T, H, W, C), got {values.shape}"
-            )
-        dates = np.asarray(dates, dtype=np.int64)
-        if dates.ndim != 1 or dates.shape[0] != values.shape[0]:
-            raise ShapeError(
-                f"need one date per frame: {values.shape[0]} frames, "
-                f"{dates.shape} dates"
-            )
-        if dates.shape[0] > 1 and not np.all(np.diff(dates) > 0):
-            raise ConfigError("acquisition dates must be strictly increasing")
-        self.values = values
-        self.dates = dates
 
 
 def tokenize_sits(values: Tensor, patch, embed: Affine) -> Tensor:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .container import atomic_open
 from .errors import MetricError, ShapeError
 
 
@@ -107,6 +108,6 @@ def per_class_table(cm: ConfusionMatrix):
 
 def write_confusion(path, cm: ConfusionMatrix) -> None:
     """Dump the counts as a plain-text integer grid, one row per line."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path, "w") as f:
         for row in cm.counts:
             f.write(" ".join(str(int(v)) for v in row) + "\n")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
+from .data import SitsSeries
 from .embedding import (
     ClsTokenBank,
-    SitsSeries,
     SpatialPositionTable,
     TemporalPositionTable,
     build_spatial_input,
@@ -222,7 +222,7 @@ def temporal_encode(series: SitsSeries, model: SitsFormer) -> Tensor:
     is dropped once the temporal encoder has run.
     """
     cfg = model.config
-    _check_series(series, cfg)
+    check_series(series, cfg)
     grid = tokenize_sits(series.values, cfg.patch, model.embed)
     pe = model.temporal_pe(model._temporal_query(series.dates))
     z = build_temporal_input(grid, pe, model.cls.temporal)
@@ -261,7 +261,7 @@ def _spatial_first_encode(series: SitsSeries, model: SitsFormer):
     spatial readout token exists on this path.
     """
     cfg = model.config
-    _check_series(series, cfg)
+    check_series(series, cfg)
     grid = tokenize_sits(series.values, cfg.patch, model.embed)
     n_t, gh, gw, d = grid.shape
     x = reshape(grid, (n_t, gh * gw, d))
@@ -326,12 +326,13 @@ def forward(series: SitsSeries, model: SitsFormer) -> Tensor:
     return classification_head(global_out, model)
 
 
-def _check_series(series: SitsSeries, cfg: ModelConfig) -> None:
-    expected = cfg.input_shape
-    if tuple(series.values.shape) != expected:
+def check_series(series: SitsSeries, config: ModelConfig) -> None:
+    """Reject a series whose shape is not the configured input shape."""
+    shape = np.shape(series.values)
+    if shape != config.input_shape:
         raise ShapeError(
-            f"series shape {series.values.shape} does not match configured "
-            f"input {expected}"
+            f"series shape {shape} does not match configured input "
+            f"{config.input_shape}"
         )
 
 
@@ -344,6 +345,12 @@ class _CheckpointHeader:
 
     config: ModelConfig
     temporal_keys: tuple
+
+    def __post_init__(self):
+        if len(set(self.temporal_keys)) != len(self.temporal_keys):
+            raise ConfigError(
+                f"temporal_keys repeat a day: {self.temporal_keys}"
+            )
 
 
 def save_checkpoint(path, model: SitsFormer) -> None:

@@ -4,9 +4,9 @@ The model code in this package is written against a deliberately small set of
 primitives: elementwise arithmetic, (batched) matmul, reshape/transpose/concat
 style layout ops, reductions, and the three nonlinearities a pre-norm
 transformer needs (softmax, layer norm, GELU). Each primitive records a
-closure on a thread-local :class:`Tape`; :func:`backward` replays the tape in
-reverse execution order, which is a valid reverse topological order because
-ops are recorded as they run.
+closure on a thread-local tape (:func:`active_tape`); :func:`backward` replays
+the tape in reverse execution order, which is a valid reverse topological
+order because ops are recorded as they run.
 
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
@@ -92,13 +92,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A view of the same data with no gradient tracking."""
-        return Tensor(self.data, requires_grad=False)
-
-    def backward(self) -> None:
-        backward(self)
-
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
@@ -152,41 +145,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
 
-class Tape:
-    """Ordered record of executed primitives for one backward pass.
-
-    Entries are ``(output tensor, backward closure)`` pairs appended in
-    execution order. Replaying them reversed visits every op exactly once and
-    respects data dependencies.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-
-    def append(self, out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
-        self._entries.append((out, fn))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
 _state = threading.local()
 
 
 def _get_state():
     if not hasattr(_state, "tape"):
-        _state.tape = Tape()
+        _state.tape = []
         _state.grad_enabled = True
     return _state
 
 
-def active_tape() -> Tape:
-    """The tape the current thread is recording onto."""
+def active_tape() -> list:
+    """The tape the current thread is recording onto.
+
+    Entries are ``(output tensor, backward closure)`` pairs in execution
+    order; replaying them reversed visits every op once and respects data
+    dependencies.
+    """
     return _get_state().tape
 
 
@@ -211,7 +186,7 @@ class no_grad:
 def _record(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
     st = _get_state()
     if st.grad_enabled and out.requires_grad:
-        st.tape.append(out, fn)
+        st.tape.append((out, fn))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -243,7 +218,7 @@ def backward(loss: Tensor) -> None:
     try:
         if loss.requires_grad:
             _accum(loss, np.ones_like(loss.data))
-            for out, fn in reversed(tape._entries):
+            for out, fn in reversed(tape):
                 if out.grad is None:
                     continue
                 fn(out.grad)
@@ -268,13 +243,6 @@ def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
     # Under no_grad, outputs are plain constants: nothing downstream records.
     requires_grad = requires_grad and _get_state().grad_enabled
     return Tensor(data, requires_grad=requires_grad, dtype=data.dtype)
-
-
-def as_tensor(x, dtype=None) -> Tensor:
-    """Wrap ``x`` as a constant tensor (no-op if already a Tensor)."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, dtype=dtype)
 
 
 # -- elementwise arithmetic --------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedding import SitsSeries
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -195,8 +194,7 @@ class TrainConfig:
 
 def _sample_loss_and_prediction(record, model: SitsFormer, cfg: TrainConfig,
                                 ignore_label: int):
-    series = SitsSeries(record.values, record.dates)
-    logits = forward(series, model)
+    logits = forward(record, model)
     if model.config.task == "segmentation":
         loss = masked_cross_entropy(logits, record.labels, ignore_label)
     else:
@@ -299,8 +297,7 @@ def evaluate(model: SitsFormer, samples):
     cm = ConfusionMatrix(model.config.n_classes, ignore_label)
     with no_grad():
         for record in samples:
-            series = SitsSeries(record.values, record.dates)
-            logits = forward(series, model)
+            logits = forward(record, model)
             cm.update(record.labels, np.argmax(logits.data, axis=-1))
     oa, miou, macc = metrics(cm)
     return oa, miou, macc, per_class_table(cm), cm

@@ -15,6 +15,7 @@ import pytest
 from _gradcheck import check_gradients
 
 from sitsformer.data import (
+    SitsSeries,
     default_class_specs,
     generate_sample,
     generate_synthetic_dataset,
@@ -23,7 +24,6 @@ from sitsformer.data import (
     read_sample,
     write_sample,
 )
-from sitsformer.embedding import SitsSeries
 from sitsformer.metrics import ConfusionMatrix, metrics
 from sitsformer.model import (
     ModelConfig,
@@ -122,7 +122,7 @@ def test_gradient_suite():
     labels[0, :] = 3  # one masked-out background row
 
     def make_loss(_):
-        logits = forward(SitsSeries(Tensor(values.copy()), dates), model)
+        logits = forward(SitsSeries(values.copy(), dates), model)
         return masked_cross_entropy(logits, labels, ignore_label=3)
 
     params = [p for _, p in model.named_parameters()]
@@ -146,8 +146,8 @@ def test_factorization_structure():
     series = _toy_series(seed=3)
     base = temporal_encode(series, model)
     perm = np.array([2, 0, 1])
-    shuffled = SitsSeries(series.values.data.copy(), series.dates)
-    shuffled.values = Tensor(series.values.data[perm])
+    shuffled = SitsSeries(series.values.copy(), series.dates)
+    shuffled.values = Tensor(series.values[perm])
     shuffled.dates = series.dates[perm]
     out = temporal_encode(shuffled, model)
     np.testing.assert_allclose(out.data, base.data, atol=1e-5)

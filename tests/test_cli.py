@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from sitsformer import cli, container
 from sitsformer.cli import (
     DEFAULT_PALETTE,
     RunConfig,
@@ -320,6 +321,62 @@ def test_corrupt_checkpoint_exits_1(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad checkpoint header")
     assert "temporal_keys='x" in err and "byte offset 10" in err
+
+
+def test_input_shape_mismatch_exits_1(dataset, tmp_path, capsys,
+                                      monkeypatch):
+    # The dataset holds (4, 4, 4, 3) samples; the run asks for 2 channels.
+    # The samples are checked before training starts, not by its forward.
+    monkeypatch.setattr(cli, "train_loop",
+                        lambda *a, **k: pytest.fail("training started"))
+    cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "o",
+                     input_shape="4,4,4,2")
+    assert main(["train", "--config", cfg]) == 1
+    assert "configured input (4, 4, 4, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+class _HalfThenFail:
+    """A file whose write stores half of its data, then reports a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def test_failed_output_write_keeps_previous_file(trained, tmp_path,
+                                                 monkeypatch):
+    dataset, _, trained_out, cfg = trained
+    sample = str(sorted(dataset.glob("*.sits"))[0])
+    out = tmp_path / "o"
+    ckpt = str(trained_out / "best.ckpt")
+    eval_args = ["eval", "--config", cfg, "--checkpoint", ckpt,
+                 "--out-dir", str(out)]
+    predict_args = ["predict", "--config", cfg, "--checkpoint", ckpt,
+                    "--sample", sample, "--out", str(out / "map.ppm")]
+    assert main(eval_args) == 0 and main(predict_args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for target, args in (("confusion_val.txt", eval_args),
+                         ("metrics_val.txt", eval_args),
+                         ("map.ppm", predict_args)):
+
+        def open_failing(path, mode="r", encoding=None, target=target):
+            f = open(path, mode, encoding=encoding)
+            return _HalfThenFail(f) if os.path.basename(path).startswith(
+                target + ".") else f
+
+        monkeypatch.setattr(container, "open", open_failing, raising=False)
+        assert main(args) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_class_count_mismatch_exits_2(dataset, tmp_path, capsys):

@@ -23,11 +23,13 @@ def small_record(seed=0, T=3, H=4, W=4, C=2, kind=d.KIND_SEGMENTATION):
 
 class TestRecord:
     def test_dates_must_increase(self):
-        with pytest.raises(DataError):
-            d.SitsRecord(
-                np.zeros((2, 2, 2, 1), dtype=np.float32), [7, 7],
-                np.zeros((2, 2)),
-            )
+        # A record is a series with labels: both fail the same shared check.
+        values = np.zeros((2, 2, 2, 1), dtype=np.float32)
+        for dates in ([7, 7], [9, 3]):
+            with pytest.raises(DataError, match="strictly increasing"):
+                d.SitsSeries(values, dates)
+            with pytest.raises(DataError, match="strictly increasing"):
+                d.SitsRecord(values, dates, np.zeros((2, 2)))
 
     def test_label_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -240,6 +242,12 @@ class TestDataset:
         with pytest.raises(FormatError):
             d.read_manifest(tmp_path)
 
+    def test_non_integer_manifest_seed(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text("path,split,seed\na.sits,train,x\n")
+        (tmp_path / "classes.txt").write_text("c\n")
+        with pytest.raises(FormatError, match="a.sits,train,x"):
+            d.read_manifest(tmp_path)
+
 
 class TestTransforms:
     def test_center_pixel_rule(self):
@@ -263,32 +271,3 @@ class TestTransforms:
             out = d.make_classification_sample(record, manifest.ignore_label)
             if out is not None:
                 assert 0 <= out.labels < 3
-
-    def test_patch_split_counts_and_reassembly(self):
-        record = small_record(T=2, H=120, W=120, C=1)
-        children = d.split_into_patches(record, 24)
-        assert len(children) == 25
-        rebuilt = np.zeros_like(record.values)
-        rebuilt_labels = np.zeros_like(record.labels)
-        i = 0
-        for r0 in range(0, 120, 24):
-            for c0 in range(0, 120, 24):
-                child = children[i]
-                assert child.values.shape == (2, 24, 24, 1)
-                np.testing.assert_array_equal(child.dates, record.dates)
-                rebuilt[:, r0 : r0 + 24, c0 : c0 + 24, :] = child.values
-                rebuilt_labels[r0 : r0 + 24, c0 : c0 + 24] = child.labels
-                i += 1
-        np.testing.assert_array_equal(rebuilt, record.values)
-        np.testing.assert_array_equal(rebuilt_labels, record.labels)
-
-    def test_identity_tiling(self):
-        record = small_record(T=2, H=24, W=24, C=1)
-        children = d.split_into_patches(record, 24)
-        assert len(children) == 1
-        assert children[0] == record
-
-    def test_indivisible_tiling_rejected(self):
-        record = small_record(T=2, H=10, W=10, C=1)
-        with pytest.raises(ConfigError):
-            d.split_into_patches(record, 4)

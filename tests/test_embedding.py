@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sitsformer import embedding as emb
-from sitsformer.errors import ConfigError, ShapeError
+from sitsformer.data import SitsRecord, SitsSeries
+from sitsformer.errors import ConfigError, DataError, ShapeError
 from sitsformer.nn import Affine
 from sitsformer.tensor import Tensor, backward
 
@@ -16,19 +17,34 @@ def identity_affine(width, dtype=np.float32):
     return aff
 
 
+# Both (values, dates) types: a plain series and a labelled record.
+SERIES_TYPES = (
+    SitsSeries,
+    lambda values, dates: SitsRecord(values, dates, np.zeros((4, 4))),
+)
+
+
 class TestSeries:
     def test_valid(self):
-        s = emb.SitsSeries(np.zeros((3, 4, 4, 2), dtype=np.float32), [5, 9, 30])
-        assert s.values.shape == (3, 4, 4, 2)
-        assert s.dates.dtype == np.int64
+        for make in SERIES_TYPES:
+            s = make(np.zeros((3, 4, 4, 2), dtype=np.float32), [5, 9, 30])
+            assert s.values.shape == (3, 4, 4, 2)
+            assert s.dates.dtype == np.int64
 
     def test_dates_must_increase(self):
-        with pytest.raises(ConfigError):
-            emb.SitsSeries(np.zeros((3, 4, 4, 2), dtype=np.float32), [5, 5, 9])
+        for make in SERIES_TYPES:
+            with pytest.raises(DataError, match="strictly increasing"):
+                make(np.zeros((3, 4, 4, 2), dtype=np.float32), [5, 5, 9])
+
+    def test_values_kept_as_given(self):
+        # No cast and no Tensor wrap: float64 input runs a float64 forward.
+        values = np.zeros((2, 4, 4, 2))
+        assert SitsSeries(values, [1, 2]).values is values
 
     def test_date_count_must_match_frames(self):
-        with pytest.raises(ShapeError):
-            emb.SitsSeries(np.zeros((3, 4, 4, 2), dtype=np.float32), [1, 2])
+        for make in SERIES_TYPES:
+            with pytest.raises(ShapeError, match="one date per frame"):
+                make(np.zeros((3, 4, 4, 2), dtype=np.float32), [1, 2])
 
 
 class TestTokenize:

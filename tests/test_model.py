@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sitsformer import model as m
 from sitsformer.container import config_from_items, config_items
-from sitsformer.embedding import SitsSeries
+from sitsformer.data import SitsSeries
 from sitsformer.errors import CompatibilityError, ConfigError, FormatError
 from sitsformer.tensor import Tensor, no_grad
 
@@ -81,8 +81,8 @@ class TestTemporalEncode:
         series = toy_series(model.config, seed=3)
         base = m.temporal_encode(series, model)
         perm = np.random.default_rng(4).permutation(4)
-        shuffled = SitsSeries(series.values.data.copy(), series.dates)
-        shuffled.values = Tensor(series.values.data[perm])
+        shuffled = SitsSeries(series.values.copy(), series.dates)
+        shuffled.values = Tensor(series.values[perm])
         shuffled.dates = series.dates[perm]
         out = m.temporal_encode(shuffled, model)
         np.testing.assert_allclose(out.data, base.data, atol=1e-5)
@@ -344,8 +344,11 @@ class TestCheckpoint:
         ("state", lambda t: t.replace(b"\n", b"\n\xff", 1)),
         ("state", lambda t: t.replace(b"epoch=3\n", b"epoch=x\n")),
         ("state", lambda t: re.sub(rb"opt_step=\d+\n", b"", t)),
+        ("checkpoint", lambda t: t.replace(b"temporal_keys=3,17",
+                                           b"temporal_keys=3,03")),
     ], ids=["bad-temporal-key", "ckpt-not-utf8", "invalid-config",
-            "state-not-utf8", "bad-epoch", "missing-opt-step"])
+            "state-not-utf8", "bad-epoch", "missing-opt-step",
+            "repeated-temporal-key"])
     def test_corrupt_header_is_format_error(self, tmp_path, fmt, edit):
         write, read = FORMATS[fmt]
         path = tmp_path / fmt

@@ -75,7 +75,7 @@ class TestMatmul:
 
             assert check_gradients(loss, [a, b]) < 1e-6
             lhs = a.data if axes is None else a.data.transpose(axes)
-            np.testing.assert_allclose((T.as_tensor(lhs) @ b).data,
+            np.testing.assert_allclose((T.Tensor(lhs) @ b).data,
                                        lhs @ b.data, rtol=1e-12)
         # Batched 3-D @ 3-D keeps numpy's broadcasting and its error message.
         a = t64(rng.standard_normal((2, 3, 4)))
