@@ -87,7 +87,7 @@ def write_resolved_config(run: RunConfig) -> str:
     return path
 
 
-def render_class_map(pred, palette=DEFAULT_PALETTE, background_label=None):
+def render_class_map(pred, background_label=None):
     """Encode an integer class map as a binary P6 image, one color per class."""
     pred = np.atleast_2d(np.asarray(pred))
     if pred.ndim != 2:
@@ -97,20 +97,21 @@ def render_class_map(pred, palette=DEFAULT_PALETTE, background_label=None):
     background = pred == background_label if background_label is not None \
         else np.zeros_like(pred, dtype=bool)
     classes = np.unique(pred[~background])
-    if classes.size and (classes.min() < 0 or classes.max() >= len(palette)):
+    n_colors = len(DEFAULT_PALETTE)
+    if classes.size and (classes.min() < 0 or classes.max() >= n_colors):
         raise DataError(
             f"class {int(classes.max())} has no palette entry "
-            f"(palette holds {len(palette)})"
+            f"(palette holds {n_colors})"
         )
     for k in classes:
-        rgb[pred == k] = palette[int(k)]
+        rgb[pred == k] = DEFAULT_PALETTE[int(k)]
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     return header + rgb.tobytes()
 
 
-def write_class_map(path, pred, palette=DEFAULT_PALETTE, background_label=None):
+def write_class_map(path, pred):
     with atomic_open(path) as f:
-        f.write(render_class_map(pred, palette, background_label))
+        f.write(render_class_map(pred))
 
 
 # -- dataset plumbing shared by train/eval/ablate ---------------------------------

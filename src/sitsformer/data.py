@@ -26,6 +26,11 @@ _CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
 
 SPLITS = ("train", "val", "test")
 
+# Synthetic scenes: the day range acquisitions fall in, and the width in
+# pixels of the background border around the parcels.
+_SEASON = (1, 360)
+_MARGIN = 1
+
 
 class SitsSeries:
     """A (values, dates) pair: values (T, H, W, C), one int day per frame.
@@ -242,12 +247,12 @@ def background_spec(channels: int, noise_std: float = 0.05) -> PhenologyClassSpe
     )
 
 
-def _partition_parcels(rng, height: int, width: int, n_classes: int,
-                       margin: int = 1) -> np.ndarray:
+def _partition_parcels(rng, height: int, width: int,
+                       n_classes: int) -> np.ndarray:
     """Rectangular parcels inside a background margin; label map (H, W)."""
     labels = np.full((height, width), n_classes, dtype=np.int64)
-    inner_h = height - 2 * margin
-    inner_w = width - 2 * margin
+    inner_h = height - 2 * _MARGIN
+    inner_w = width - 2 * _MARGIN
     if inner_h < 1 or inner_w < 1:
         raise ConfigError(f"grid {height}x{width} too small for a margin")
     max_rows = max(1, min(3, inner_h // 2))
@@ -263,42 +268,41 @@ def _partition_parcels(rng, height: int, width: int, n_classes: int,
     cells = rng.integers(0, n_classes, size=(n_rows, n_cols))
     for i in range(n_rows):
         for j in range(n_cols):
-            r0, r1 = margin + row_edges[i], margin + row_edges[i + 1]
-            c0, c1 = margin + col_edges[j], margin + col_edges[j + 1]
+            r0, r1 = _MARGIN + row_edges[i], _MARGIN + row_edges[i + 1]
+            c0, c1 = _MARGIN + col_edges[j], _MARGIN + col_edges[j + 1]
             labels[r0:r1, c0:c1] = cells[i, j]
     return labels
 
 
 def generate_sample(index: int, seed: int, specs, grid=(8, 8), t_range=(16, 24),
-                    season=(1, 360), margin: int = 1, date_step: int = 1,
-                    season_span=None) -> SitsRecord:
+                    date_step: int = 1, season_span=None) -> SitsRecord:
     """One synthetic record, a pure function of (seed, index).
 
     Acquisition days are drawn without replacement from a day grid with
-    spacing date_step. When season_span is set, each sample observes only a
-    random contiguous window of that length, the way a sensor campaign
-    covers part of a season; windows are aligned to the day grid so the
-    same calendar days recur across samples.
+    spacing date_step over days 1-359. When season_span is set, each sample
+    observes only a random contiguous window of that length, the way a
+    sensor campaign covers part of a season; windows are aligned to the day
+    grid so the same calendar days recur across samples.
     """
     n_classes = len(specs)
     channels = specs[0].channels
     if any(s.channels != channels for s in specs):
         raise ConfigError("all class specs must share a channel count")
     t_lo, t_hi = t_range
-    if not 1 <= t_lo <= t_hi or t_hi > season[1] - season[0]:
+    lo, hi = _SEASON
+    if not 1 <= t_lo <= t_hi or t_hi > hi - lo:
         raise ConfigError(f"bad acquisition-count range {t_range}")
     if date_step < 1:
         raise ConfigError(f"date_step must be positive, got {date_step}")
     rng = np.random.default_rng([seed, 0, index])
     T = int(rng.integers(t_lo, t_hi + 1))
-    lo, hi = season
     if season_span is None:
         pool = np.arange(lo, hi, date_step)
     else:
         n_starts = (hi - 1 - lo - season_span) // date_step + 1
         if n_starts < 1:
             raise ConfigError(
-                f"season window {season_span} does not fit in {season}"
+                f"season window {season_span} does not fit in {_SEASON}"
             )
         start = lo + date_step * int(rng.integers(0, n_starts))
         pool = np.arange(start, start + season_span, date_step)
@@ -308,7 +312,7 @@ def generate_sample(index: int, seed: int, specs, grid=(8, 8), t_range=(16, 24),
         )
     dates = np.sort(rng.choice(pool, size=T, replace=False))
     height, width = grid
-    labels = _partition_parcels(rng, height, width, n_classes, margin)
+    labels = _partition_parcels(rng, height, width, n_classes)
     values = np.empty((T, height, width, channels), dtype=np.float32)
     regions = [(n_classes, background_spec(channels, specs[0].noise_std))]
     regions += [(k, specs[k]) for k in range(n_classes)]
@@ -380,27 +384,48 @@ def write_manifest(directory, manifest: DatasetManifest) -> None:
             f.write(name + "\n")
 
 
+def _text_lines(path):
+    """(byte offset, stripped text) of every non-blank line of a UTF-8 file."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    lines = []
+    offset = 0
+    for line in raw.splitlines(keepends=True):
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: line is not UTF-8", offset=offset) from None
+        if text:
+            lines.append((offset, text))
+        offset += len(line)
+    return lines
+
+
 def read_manifest(directory) -> DatasetManifest:
+    """Read manifest.csv and classes.txt; every line must carry one seed."""
     path = os.path.join(directory, "manifest.csv")
-    with open(path, encoding="utf-8") as f:
-        lines = [line.strip() for line in f if line.strip()]
-    if not lines or lines[0] != "path,split,seed":
+    lines = _text_lines(path)
+    if not lines or lines[0][1] != "path,split,seed":
         raise FormatError(f"{path} is not a manifest (bad header)", offset=0)
     entries = []
-    seed = 0
-    for line in lines[1:]:
+    seeds = set()
+    for offset, line in lines[1:]:
         try:
             sample_path, split, seed_text = line.split(",")
-            seed = int(seed_text)
+            seeds.add(int(seed_text))
         except ValueError:
             raise FormatError(
-                f"malformed manifest line {line!r}", offset=0
+                f"{path}: malformed manifest line {line!r}", offset=offset
             ) from None
+        if len(seeds) > 1:
+            raise FormatError(
+                f"{path}: line {line!r} changes the dataset seed", offset=offset
+            )
         entries.append((sample_path, split))
-    classes_path = os.path.join(directory, "classes.txt")
-    with open(classes_path, encoding="utf-8") as f:
-        class_names = [line.strip() for line in f if line.strip()]
-    return DatasetManifest(tuple(entries), tuple(class_names), seed)
+    class_names = [text for _, text in
+                   _text_lines(os.path.join(directory, "classes.txt"))]
+    return DatasetManifest(tuple(entries), tuple(class_names),
+                           seeds.pop() if seeds else 0)
 
 
 def load_split(directory, manifest: DatasetManifest, split: str):
@@ -409,11 +434,10 @@ def load_split(directory, manifest: DatasetManifest, split: str):
     ]
 
 
-def _split_sizes(n: int, fractions) -> tuple:
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
-    n_val = max(1, round(n * fractions[1])) if n >= 3 else (1 if n >= 2 else 0)
-    n_test = max(1, round(n * fractions[2])) if n >= 3 else 0
+def _split_sizes(n: int) -> tuple:
+    """Train/val/test counts: 15% each to val and test, at least one each."""
+    n_val = max(1, round(n * 0.15)) if n >= 3 else (1 if n >= 2 else 0)
+    n_test = max(1, round(n * 0.15)) if n >= 3 else 0
     n_train = n - n_val - n_test
     if n_train < 1:
         raise ConfigError(f"{n} samples cannot fill three splits")
@@ -422,23 +446,17 @@ def _split_sizes(n: int, fractions) -> tuple:
 
 def generate_synthetic_dataset(directory, n_samples: int, n_classes: int,
                                grid=(8, 8), t_range=(16, 24), seed: int = 0,
-                               specs=None, channels: int = 3,
-                               noise_std: float = 0.05,
-                               cloud_prob: float = 0.05,
-                               fractions=(0.7, 0.15, 0.15),
-                               date_step: int = 1,
+                               channels: int = 3, noise_std: float = 0.05,
+                               cloud_prob: float = 0.05, date_step: int = 1,
                                season_span=None) -> DatasetManifest:
     """Write n_samples sample files plus manifest and class sidecar."""
     if n_classes < 2:
         raise ConfigError("need at least two classes")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
-    if specs is None:
-        specs = default_class_specs(n_classes, channels, noise_std, cloud_prob)
-    if len(specs) != n_classes:
-        raise ConfigError(f"{len(specs)} specs for {n_classes} classes")
+    specs = default_class_specs(n_classes, channels, noise_std, cloud_prob)
     os.makedirs(directory, exist_ok=True)
-    n_train, n_val, n_test = _split_sizes(n_samples, fractions)
+    n_train, n_val, n_test = _split_sizes(n_samples)
     order = np.random.default_rng([seed, 3]).permutation(n_samples)
     split_of = {}
     for rank, idx in enumerate(order):

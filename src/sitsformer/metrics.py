@@ -9,15 +9,14 @@ from .errors import MetricError, ShapeError
 class ConfusionMatrix:
     """K x K integer counts; rows are reference classes, columns predictions.
 
-    Pixels carrying the ignore label are never counted, so background stays
-    out of every score derived from the matrix.
+    Pixels carrying the ignore label ``n_classes`` are never counted, so
+    background stays out of every score derived from the matrix.
     """
 
-    def __init__(self, n_classes: int, ignore_label=None):
+    def __init__(self, n_classes: int):
         if n_classes < 1:
             raise MetricError("confusion matrix needs at least one class")
         self.n_classes = n_classes
-        self.ignore_label = n_classes if ignore_label is None else ignore_label
         self.counts = np.zeros((n_classes, n_classes), dtype=np.int64)
 
     def update(self, reference, predicted) -> None:
@@ -28,7 +27,7 @@ class ConfusionMatrix:
                 f"reference {reference.shape} and prediction {predicted.shape} "
                 "must align"
             )
-        keep = reference != self.ignore_label
+        keep = reference != self.n_classes
         reference = reference[keep]
         predicted = predicted[keep]
         bad = (reference < 0) | (reference >= self.n_classes)

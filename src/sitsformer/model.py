@@ -6,6 +6,11 @@ attends along space (one sequence per class stream). Dense predictions come
 from projecting each spatial token back to its patch of pixels; global
 predictions come from the per-stream readout tokens.
 
+Both factorization orders share one wiring. ``spatial_first`` only adds a
+per-frame spatial stage in front of the temporal one inside
+:func:`temporal_encode`; :func:`forward` then reads its streams straight
+off the temporal cls states instead of running :func:`spatial_encode`.
+
 Every axis of that design is switchable for comparison runs: factorization
 order, number of cls tokens, temporal position source, and whether class
 streams may attend to each other.
@@ -219,11 +224,19 @@ def temporal_encode(series: SitsSeries, model: SitsFormer) -> Tensor:
     """Per-location attention along time; returns the retained cls states.
 
     Output is (n_locations, n_streams, dim): everything after the cls prefix
-    is dropped once the temporal encoder has run.
+    is dropped once the temporal encoder has run. On ``spatial_first``
+    configs each frame first attends along space (frames are the batch axis,
+    no cls tokens), and the temporal stage then runs on those states.
     """
     cfg = model.config
     check_series(series, cfg)
     grid = tokenize_sits(series.values, cfg.patch, model.embed)
+    if cfg.factorization == "spatial_first":
+        n_t, gh, gw, d = grid.shape
+        x = reshape(grid, (n_t, gh * gw, d))
+        x = x + reshape(model.spatial_pe.table, (1, gh * gw, d))
+        x = encoder_forward(x, model.spatial_encoder)
+        grid = reshape(x, (n_t, gh, gw, d))
     pe = model.temporal_pe(model._temporal_query(series.dates))
     z = build_temporal_input(grid, pe, model.cls.temporal)
     z = encoder_forward(z, model.temporal_encoder)
@@ -250,30 +263,6 @@ def spatial_encode(z: Tensor, model: SitsFormer):
     global_out = reshape(getitem(zs, (slice(None), slice(0, 1))), (s, d))
     local = getitem(zs, (slice(None), slice(1, None)))
     return global_out, local
-
-
-def _spatial_first_encode(series: SitsSeries, model: SitsFormer):
-    """Mirror-image wiring: space per frame first, then time per location.
-
-    The spatial stage runs without cls tokens (frames are the batch axis);
-    class evidence is aggregated only by the temporal stage's cls tokens.
-    The global state is the location average of those cls states, since no
-    spatial readout token exists on this path.
-    """
-    cfg = model.config
-    check_series(series, cfg)
-    grid = tokenize_sits(series.values, cfg.patch, model.embed)
-    n_t, gh, gw, d = grid.shape
-    x = reshape(grid, (n_t, gh * gw, d))
-    x = x + reshape(model.spatial_pe.table, (1, gh * gw, d))
-    x = encoder_forward(x, model.spatial_encoder)
-    x = reshape(x, (n_t, gh, gw, d))
-    pe = model.temporal_pe(model._temporal_query(series.dates))
-    z = build_temporal_input(x, pe, model.cls.temporal)
-    z = encoder_forward(z, model.temporal_encoder)
-    cls_out = getitem(z, (slice(None), slice(0, cfg.n_streams)))
-    local = transpose(cls_out, (1, 0, 2))
-    return tmean(local, axis=1), local
 
 
 def segmentation_head(local: Tensor, model: SitsFormer) -> Tensor:
@@ -316,11 +305,14 @@ def classification_head(global_out: Tensor, model: SitsFormer) -> Tensor:
 
 def forward(series: SitsSeries, model: SitsFormer) -> Tensor:
     """Full pass: logits (H, W, K) for segmentation, (K,) for classification."""
+    z = temporal_encode(series, model)
     if model.config.factorization == "temporal_first":
-        z = temporal_encode(series, model)
         global_out, local = spatial_encode(z, model)
     else:
-        global_out, local = _spatial_first_encode(series, model)
+        # No spatial readout token on this path: each stream's global state
+        # is the location average of its temporal cls states.
+        local = transpose(z, (1, 0, 2))
+        global_out = tmean(local, axis=1)
     if model.config.task == "segmentation":
         return segmentation_head(local, model)
     return classification_head(global_out, model)

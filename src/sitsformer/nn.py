@@ -155,13 +155,13 @@ def mlp_forward(z: Tensor, w: MLPWeights) -> Tensor:
     return w.fc2(T.gelu(w.fc1(z)))
 
 
-def transformer_block(z: Tensor, w: BlockWeights, eps: float = 1e-5) -> Tensor:
-    y = msa_forward(T.layer_norm(z, w.ln1_gamma, w.ln1_beta, eps), w.msa) + z
-    return mlp_forward(T.layer_norm(y, w.ln2_gamma, w.ln2_beta, eps), w.mlp) + y
+def transformer_block(z: Tensor, w: BlockWeights) -> Tensor:
+    y = msa_forward(T.layer_norm(z, w.ln1_gamma, w.ln1_beta), w.msa) + z
+    return mlp_forward(T.layer_norm(y, w.ln2_gamma, w.ln2_beta), w.mlp) + y
 
 
-def encoder_forward(z: Tensor, w: EncoderWeights, eps: float = 1e-5) -> Tensor:
+def encoder_forward(z: Tensor, w: EncoderWeights) -> Tensor:
     _check_tokens(z, w.dim, "encoder_forward")
     for block in w.blocks:
-        z = transformer_block(z, block, eps)
+        z = transformer_block(z, block)
     return z

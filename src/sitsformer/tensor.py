@@ -3,10 +3,13 @@
 The model code in this package is written against a deliberately small set of
 primitives: elementwise arithmetic, (batched) matmul, reshape/transpose/concat
 style layout ops, reductions, and the three nonlinearities a pre-norm
-transformer needs (softmax, layer norm, GELU). Each primitive records a
-closure on a thread-local tape (:func:`active_tape`); :func:`backward` replays
-the tape in reverse execution order, which is a valid reverse topological
-order because ops are recorded as they run.
+transformer needs (softmax, layer norm, GELU). Every primitive wraps its
+output through one constructor, ``_op``, which alone decides whether the op
+is recorded: only when grad mode is on (see :class:`no_grad`) and some input
+requires a gradient. A recorded op puts its backward closure on the current
+thread's tape (:func:`active_tape`); each thread keeps its own tape and grad
+mode. :func:`backward` replays the tape in reverse execution order, which is
+a valid reverse topological order because ops are recorded as they run.
 
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
@@ -145,14 +148,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
 
-_state = threading.local()
+class _ThreadState(threading.local):
+    """Per-thread tape and grad mode; a new thread starts empty, grad on."""
+
+    def __init__(self):
+        self.tape = []
+        self.grad_enabled = True
 
 
-def _get_state():
-    if not hasattr(_state, "tape"):
-        _state.tape = []
-        _state.grad_enabled = True
-    return _state
+_state = _ThreadState()
 
 
 def active_tape() -> list:
@@ -162,31 +166,39 @@ def active_tape() -> list:
     order; replaying them reversed visits every op once and respects data
     dependencies.
     """
-    return _get_state().tape
-
-
-def is_grad_enabled() -> bool:
-    return _get_state().grad_enabled
+    return _state.tape
 
 
 class no_grad:
     """Context manager that suspends tape recording (inference mode)."""
 
     def __enter__(self):
-        st = _get_state()
-        self._prev = st.grad_enabled
-        st.grad_enabled = False
+        self._prev = _state.grad_enabled
+        _state.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        _get_state().grad_enabled = self._prev
+        _state.grad_enabled = self._prev
         return False
 
 
-def _record(out: Tensor, fn: Callable[[np.ndarray], None]) -> None:
-    st = _get_state()
-    if st.grad_enabled and out.requires_grad:
-        st.tape.append((out, fn))
+def _op(data: np.ndarray, inputs: Sequence[Tensor],
+        back: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap a primitive's output and put ``(out, back)`` on the tape.
+
+    This is the only place an op is recorded: when grad mode is on and some
+    input requires a gradient. The output requires a gradient exactly when
+    the op was recorded, so under :class:`no_grad` outputs are plain
+    constants and nothing downstream records either.
+    """
+    out = Tensor(data, dtype=data.dtype)
+    if _state.grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _state.tape.append((out, back))
+                break
+    return out
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -239,33 +251,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _result(data: np.ndarray, requires_grad: bool) -> Tensor:
-    # Under no_grad, outputs are plain constants: nothing downstream records.
-    requires_grad = requires_grad and _get_state().grad_enabled
-    return Tensor(data, requires_grad=requires_grad, dtype=data.dtype)
-
-
 # -- elementwise arithmetic --------------------------------------------------
 
 
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        out = _result(a.data + b, a.requires_grad)
 
         def back_scalar(g):
             _accum(a, g)
 
-        _record(out, back_scalar)
-        return out
-
-    out = _result(a.data + b.data, a.requires_grad or b.requires_grad)
+        return _op(a.data + b, (a,), back_scalar)
 
     def back(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    _record(out, back)
-    return out
+    return _op(a.data + b.data, (a, b), back)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -280,57 +281,47 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
-        out = _result(a.data * b, a.requires_grad)
 
         def back_scalar(g):
             _accum(a, g * b)
 
-        _record(out, back_scalar)
-        return out
+        return _op(a.data * b, (a,), back_scalar)
 
-    out = _result(a.data * b.data, a.requires_grad or b.requires_grad)
     a_data, b_data = a.data, b.data
 
     def back(g):
         _accum(a, _unbroadcast(g * b_data, a.shape))
         _accum(b, _unbroadcast(g * a_data, b.shape))
 
-    _record(out, back)
-    return out
+    return _op(a_data * b_data, (a, b), back)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     """Elementwise ``a ** p`` for a constant exponent."""
-    out = _result(a.data**p, a.requires_grad)
     a_data = a.data
 
     def back(g):
         _accum(a, g * (p * a_data ** (p - 1.0)))
 
-    _record(out, back)
-    return out
+    return _op(a_data**p, (a,), back)
 
 
 def log(a: Tensor) -> Tensor:
-    out = _result(np.log(a.data), a.requires_grad)
     a_data = a.data
 
     def back(g):
         _accum(a, g / a_data)
 
-    _record(out, back)
-    return out
+    return _op(np.log(a_data), (a,), back)
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-    out = _result(out_data, a.requires_grad)
 
     def back(g):
         _accum(a, g * out_data)
 
-    _record(out, back)
-    return out
+    return _op(out_data, (a,), back)
 
 
 # -- matmul ------------------------------------------------------------------
@@ -354,7 +345,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.ndim == 2:
         (k, n), m = b.shape, math.prod(a.shape[:-1])
         out_data = (a_data.reshape(m, k) @ b_data).reshape(a.shape[:-1] + (n,))
-        out = _result(out_data, a.requires_grad or b.requires_grad)
 
         def back_2d(g):
             g2d = g.reshape(m, n)
@@ -363,15 +353,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 _accum(b, a_data.reshape(m, k).T @ g2d)
 
-        _record(out, back_2d)
-        return out
+        return _op(out_data, (a, b), back_2d)
     try:
         out_data = a_data @ b_data
     except ValueError as e:
         raise ShapeError(
             f"matmul batch dimensions do not broadcast: shapes {a.shape} and {b.shape}"
         ) from e
-    out = _result(out_data, a.requires_grad or b.requires_grad)
 
     def back(g):
         if a.requires_grad:
@@ -379,8 +367,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b.shape))
 
-    _record(out, back)
-    return out
+    return _op(out_data, (a, b), back)
 
 
 # -- layout ops ----------------------------------------------------------------
@@ -392,14 +379,12 @@ def reshape(a: Tensor, shape) -> Tensor:
         out_data = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from e
-    out = _result(out_data, a.requires_grad)
     in_shape = a.shape
 
     def back(g):
         _accum(a, g.reshape(in_shape))
 
-    _record(out, back)
-    return out
+    return _op(out_data, (a,), back)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -410,19 +395,16 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         inv = tuple(np.argsort(axes))
     else:
         inv = None
-    out = _result(np.transpose(a.data, axes), a.requires_grad)
 
     def back(g):
         _accum(a, np.transpose(g, inv))
 
-    _record(out, back)
-    return out
+    return _op(np.transpose(a.data, axes), (a,), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = _result(out_data, any(t.requires_grad for t in tensors))
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -430,8 +412,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accum(t, piece)
 
-    _record(out, back)
-    return out
+    return _op(out_data, tensors, back)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -440,27 +421,22 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
         out_data = np.broadcast_to(a.data, shape)
     except ValueError as e:
         raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from e
-    out = _result(np.ascontiguousarray(out_data), a.requires_grad)
 
     def back(g):
         _accum(a, _unbroadcast(g, a.shape))
 
-    _record(out, back)
-    return out
+    return _op(np.ascontiguousarray(out_data), (a,), back)
 
 
 def getitem(a: Tensor, key) -> Tensor:
     """Basic slicing plus integer-array row gathering, both differentiable."""
-    out_data = a.data[key]
-    out = _result(np.array(out_data, copy=True), a.requires_grad)
+    out_data = np.array(a.data[key], copy=True)
     fancy = isinstance(key, (np.ndarray, list)) or (
         isinstance(key, tuple)
         and any(isinstance(k, (np.ndarray, list)) for k in key)
     )
 
     def back(g):
-        if not a.requires_grad:
-            return
         buf = np.zeros_like(a.data)
         if fancy:
             np.add.at(buf, key, g)
@@ -468,8 +444,7 @@ def getitem(a: Tensor, key) -> Tensor:
             buf[key] += g
         _accum(a, buf)
 
-    _record(out, back)
-    return out
+    return _op(out_data, (a,), back)
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -484,16 +459,13 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
             f"gather_last index shape {idx.shape} does not match {a.shape[:-1]}"
         )
     expanded = idx[..., None]
-    out_data = np.take_along_axis(a.data, expanded, axis=-1)[..., 0]
-    out = _result(out_data, a.requires_grad)
 
     def back(g):
         buf = np.zeros_like(a.data)
         np.put_along_axis(buf, expanded, g[..., None], axis=-1)
         _accum(a, buf)
 
-    _record(out, back)
-    return out
+    return _op(np.take_along_axis(a.data, expanded, axis=-1)[..., 0], (a,), back)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -508,27 +480,23 @@ def _expand_reduced(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _result(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
     in_shape = a.shape
 
     def back(g):
         _accum(a, _expand_reduced(g, in_shape, axis, keepdims))
 
-    _record(out, back)
-    return out
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    out = _result(out_data, a.requires_grad)
     in_shape = a.shape
     n = a.size if axis is None else a.data.size // out_data.size
 
     def back(g):
         _accum(a, _expand_reduced(g, in_shape, axis, keepdims) / n)
 
-    _record(out, back)
-    return out
+    return _op(out_data, (a,), back)
 
 
 # -- nonlinearities -------------------------------------------------------------
@@ -541,14 +509,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
-    out = _result(out_data, a.requires_grad)
 
     def back(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
         _accum(a, out_data * (g - inner))
 
-    _record(out, back)
-    return out
+    return _op(out_data, (a,), back)
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
@@ -559,14 +525,12 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
     out_data = np.squeeze(m + np.log(s), axis=axis)
-    out = _result(out_data, a.requires_grad)
     soft = e / s
 
     def back(g):
         _accum(a, np.expand_dims(g, axis) * soft)
 
-    _record(out, back)
-    return out
+    return _op(out_data, (a,), back)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -582,16 +546,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
-    out = _result(
-        xhat * gamma.data + beta.data,
-        a.requires_grad or gamma.requires_grad or beta.requires_grad,
-    )
     gamma_data = gamma.data
 
     def back(g):
+        lead = tuple(range(g.ndim - 1))
         if gamma.requires_grad:
-            lead = tuple(range(g.ndim - 1))
             _accum(gamma, (g * xhat).sum(axis=lead))
+        if beta.requires_grad:
             _accum(beta, g.sum(axis=lead))
         if a.requires_grad:
             dxhat = g * gamma_data
@@ -599,8 +560,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             _accum(a, inv_std * term)
 
-    _record(out, back)
-    return out
+    return _op(xhat * gamma_data + beta.data, (a, gamma, beta), back)
 
 
 def _phi_f32(x: np.ndarray) -> np.ndarray:
@@ -633,33 +593,29 @@ def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: ``x * Phi(x)``.
 
     float64 input takes ``Phi`` from scipy's exact ``erf``; float32 input
-    from :func:`_phi_f32`, one block of ``_GELU_BLOCK`` elements at a time.
-    ``Phi`` is kept for the backward pass only when the op is recorded.
+    from :func:`_phi_f32`, one block of ``_GELU_BLOCK`` elements at a time,
+    written into the output of an already-wrapped op. That op's
+    ``requires_grad`` says whether it was recorded, and ``Phi`` is kept for
+    the backward pass only then.
     """
     x = a.data
-    keep = a.requires_grad and is_grad_enabled()
-    if x.dtype == np.float64:
-        phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        out_data = x * phi_cdf
-    else:
-        flat = x.reshape(-1)
-        out_data = np.empty_like(flat)
-        phi_cdf = np.empty_like(flat) if keep else None
-        for i in range(0, flat.size, _GELU_BLOCK):
-            s = slice(i, i + _GELU_BLOCK)
-            phi = _phi_f32(flat[s])
-            np.multiply(flat[s], phi, out=out_data[s])
-            if keep:
-                phi_cdf[s] = phi
-        out_data = out_data.reshape(x.shape)
-    out = _result(out_data, a.requires_grad)
-    if not keep:
-        return out
-    phi_cdf = phi_cdf.reshape(x.shape)
 
     def back(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
         _accum(a, g * (phi_cdf + x * pdf))
 
-    _record(out, back)
+    if x.dtype == np.float64:
+        phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        return _op(x * phi_cdf, (a,), back)
+    out = _op(np.empty(x.shape, x.dtype), (a,), back)
+    flat, out_flat = x.reshape(-1), out.data.reshape(-1)
+    phi_flat = np.empty_like(flat) if out.requires_grad else None
+    for i in range(0, flat.size, _GELU_BLOCK):
+        s = slice(i, i + _GELU_BLOCK)
+        phi = _phi_f32(flat[s])
+        np.multiply(flat[s], phi, out=out_flat[s])
+        if phi_flat is not None:
+            phi_flat[s] = phi
+    if phi_flat is not None:
+        phi_cdf = phi_flat.reshape(x.shape)
     return out

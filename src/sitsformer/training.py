@@ -36,6 +36,11 @@ from .tensor import (
 STATE_MAGIC = b"SFTS"
 STATE_VERSION = 1
 
+# Adam moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 # -- losses ---------------------------------------------------------------------
 
@@ -90,15 +95,11 @@ def focal_loss(logits: Tensor, label: int, gamma: float = 2.0) -> Tensor:
 class AdamWState:
     """First/second moment buffers plus the shared step counter."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params, weight_decay: float = 0.01):
         params = list(params)
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.step_count = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
 
 
@@ -111,7 +112,7 @@ def adamw_step(params, state: AdamWState, lr: float) -> None:
         )
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     for p, m, v in zip(params, state.m, state.v):
@@ -122,7 +123,7 @@ def adamw_step(params, state: AdamWState, lr: float) -> None:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m[...] = b1 * m + (1.0 - b1) * g
         v[...] = b2 * v + (1.0 - b2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         p.data[...] -= lr * (update + state.weight_decay * p.data)
 
 
@@ -244,7 +245,7 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(
             len(samples)
         )
-        cm = ConfusionMatrix(model.config.n_classes, ignore_label)
+        cm = ConfusionMatrix(model.config.n_classes)
         epoch_losses = []
         lr = 0.0
         for chunk_start in range(0, len(order), cfg.batch_size):
@@ -293,8 +294,7 @@ def evaluate(model: SitsFormer, samples):
     samples = list(samples)
     if not samples:
         raise DataError("evaluation requires at least one sample")
-    ignore_label = model.config.n_classes
-    cm = ConfusionMatrix(model.config.n_classes, ignore_label)
+    cm = ConfusionMatrix(model.config.n_classes)
     with no_grad():
         for record in samples:
             logits = forward(record, model)

@@ -248,6 +248,33 @@ class TestDataset:
         with pytest.raises(FormatError, match="a.sits,train,x"):
             d.read_manifest(tmp_path)
 
+    def test_manifest_seeds_must_agree(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text(
+            "path,split,seed\na.sits,train,1\nb.sits,val,7\n")
+        (tmp_path / "classes.txt").write_text("c\n")
+        with pytest.raises(FormatError, match="manifest.csv.*b.sits,val,7") as e:
+            d.read_manifest(tmp_path)
+        assert e.value.offset == 31
+
+    def test_malformed_manifest_line_reports_its_offset(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text(
+            "path,split,seed\na.sits,train,1\nb.sits,val,1\nc.sits,val\n")
+        (tmp_path / "classes.txt").write_text("c\n")
+        with pytest.raises(FormatError, match="manifest.csv.*c.sits,val") as e:
+            d.read_manifest(tmp_path)
+        assert e.value.offset == 44
+
+    @pytest.mark.parametrize("name, offset", [("manifest.csv", 31),
+                                              ("classes.txt", 2)])
+    def test_non_utf8_byte_is_format_error(self, tmp_path, name, offset):
+        (tmp_path / "manifest.csv").write_text("path,split,seed\na.sits,train,1\n")
+        (tmp_path / "classes.txt").write_text("c\n")
+        with open(tmp_path / name, "ab") as f:
+            f.write(b"b\xff.sits,val,1\n")
+        with pytest.raises(FormatError, match=name) as e:
+            d.read_manifest(tmp_path)
+        assert e.value.offset == offset
+
 
 class TestTransforms:
     def test_center_pixel_rule(self):

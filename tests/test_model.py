@@ -13,7 +13,8 @@ from sitsformer import model as m
 from sitsformer.container import config_from_items, config_items
 from sitsformer.data import SitsSeries
 from sitsformer.errors import CompatibilityError, ConfigError, FormatError
-from sitsformer.tensor import Tensor, no_grad
+from sitsformer.tensor import Tensor, backward, no_grad
+from sitsformer.training import focal_loss, masked_cross_entropy
 
 TOY = dict(
     n_classes=3,
@@ -286,6 +287,102 @@ def test_forward_shape_contract(n_classes, gh, gw, frames, channels, task,
         assert out.shape == (2 * gh, 2 * gw, n_classes)
     else:
         assert out.shape == (n_classes,)
+
+
+# Per variant of a float64 toy model (fixed seed, series and labels): the
+# logits' sum, their absolute sum, and the global gradient norm after one
+# loss backward. Pinned from the model code at commit 7cc0c72; a change that
+# moves one beyond rtol 1e-9 changes the numerics, not just the wiring.
+VARIANT_PINS = {
+    ("temporal_first", "per_class", "date_lookup", "blocked", "segmentation"):
+        (0.01933301970284654, 0.05397760028002445, 0.3286773826026591),
+    ("temporal_first", "per_class", "date_lookup", "blocked", "classification"):
+        (0.0004071053059247692, 0.0017117906940644356, 0.7642064012173452),
+    ("temporal_first", "per_class", "date_lookup", "full", "segmentation"):
+        (0.02003308817163466, 0.05352879449234648, 0.32867642389989044),
+    ("temporal_first", "per_class", "date_lookup", "full", "classification"):
+        (0.00042757019121446185, 0.0016430252734932365, 0.7641635903893075),
+    ("temporal_first", "per_class", "static", "blocked", "segmentation"):
+        (0.019244782316191218, 0.054059567467981365, 0.32867780107386385),
+    ("temporal_first", "per_class", "static", "blocked", "classification"):
+        (0.00040638075343864136, 0.0017114917128973504, 0.7642064885359567),
+    ("temporal_first", "per_class", "static", "full", "segmentation"):
+        (0.019944247470333, 0.05361124654534196, 0.3286768031855691),
+    ("temporal_first", "per_class", "static", "full", "classification"):
+        (0.00042694442286260004, 0.0016427097749683237, 0.7641636287053277),
+    ("temporal_first", "single", "date_lookup", "blocked", "segmentation"):
+        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
+    ("temporal_first", "single", "date_lookup", "blocked", "classification"):
+        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
+    ("temporal_first", "single", "date_lookup", "full", "segmentation"):
+        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
+    ("temporal_first", "single", "date_lookup", "full", "classification"):
+        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
+    ("temporal_first", "single", "static", "blocked", "segmentation"):
+        (0.013304180960984985, 0.06030781892155661, 0.3303229358721773),
+    ("temporal_first", "single", "static", "blocked", "classification"):
+        (0.0011655351604940077, 0.0027008234378650764, 0.7646490657399033),
+    ("temporal_first", "single", "static", "full", "segmentation"):
+        (0.013304180960984985, 0.06030781892155661, 0.3303229358721773),
+    ("temporal_first", "single", "static", "full", "classification"):
+        (0.0011655351604940077, 0.0027008234378650764, 0.7646490657399033),
+    ("spatial_first", "per_class", "date_lookup", "blocked", "segmentation"):
+        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
+    ("spatial_first", "per_class", "date_lookup", "blocked", "classification"):
+        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
+    ("spatial_first", "per_class", "date_lookup", "full", "segmentation"):
+        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
+    ("spatial_first", "per_class", "date_lookup", "full", "classification"):
+        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
+    ("spatial_first", "per_class", "static", "blocked", "segmentation"):
+        (0.022735120540294605, 0.04911346390075806, 0.3276428554762475),
+    ("spatial_first", "per_class", "static", "blocked", "classification"):
+        (0.001210109640261194, 0.002435619139762876, 0.7650183352187816),
+    ("spatial_first", "per_class", "static", "full", "segmentation"):
+        (0.022735120540294605, 0.04911346390075806, 0.3276428554762475),
+    ("spatial_first", "per_class", "static", "full", "classification"):
+        (0.001210109640261194, 0.002435619139762876, 0.7650183352187816),
+    ("spatial_first", "single", "date_lookup", "blocked", "segmentation"):
+        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
+    ("spatial_first", "single", "date_lookup", "blocked", "classification"):
+        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
+    ("spatial_first", "single", "date_lookup", "full", "segmentation"):
+        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
+    ("spatial_first", "single", "date_lookup", "full", "classification"):
+        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
+    ("spatial_first", "single", "static", "blocked", "segmentation"):
+        (0.014317996172744108, 0.059273009031355246, 0.3288463629052237),
+    ("spatial_first", "single", "static", "blocked", "classification"):
+        (0.0038369126835925784, 0.0038369126835925784, 0.7668914311174648),
+    ("spatial_first", "single", "static", "full", "segmentation"):
+        (0.014317996172744108, 0.059273009031355246, 0.3288463629052237),
+    ("spatial_first", "single", "static", "full", "classification"):
+        (0.0038369126835925784, 0.0038369126835925784, 0.7668914311174648),
+}
+
+
+@pytest.mark.parametrize("variant", list(VARIANT_PINS),
+                         ids=["-".join(v) for v in VARIANT_PINS])
+def test_variant_logits_and_gradients_are_pinned(variant):
+    factorization, cls_mode, pe_mode, cls_interactions, task = variant
+    cfg = m.ModelConfig(**TOY, factorization=factorization, cls_mode=cls_mode,
+                        pe_mode=pe_mode, cls_interactions=cls_interactions,
+                        task=task)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(cfg.input_shape)
+    dates = np.array([12, 80, 151, 240])
+    model = m.SitsFormer(cfg, temporal_keys=dates, seed=3, dtype=np.float64)
+    logits = m.forward(SitsSeries(values, dates), model)
+    if task == "segmentation":
+        labels = rng.integers(0, cfg.n_classes + 1, size=logits.shape[:-1])
+        loss = masked_cross_entropy(logits, labels, cfg.n_classes)
+    else:
+        loss = focal_loss(logits, 1)
+    backward(loss)
+    grads = [p.grad for p in model.parameters() if p.grad is not None]
+    got = (float(logits.data.sum()), float(np.abs(logits.data).sum()),
+           float(np.sqrt(sum((g * g).sum() for g in grads))))
+    np.testing.assert_allclose(got, VARIANT_PINS[variant], rtol=1e-9)
 
 
 class TestCheckpoint:

@@ -1,5 +1,7 @@
 """Tests for the tensor/autodiff core."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,33 @@ from _gradcheck import check_gradients, finite_difference, max_rel_err
 
 def t64(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+
+
+# Every primitive the benchmark traces, as (call, input shapes); matmul runs
+# both its 2-D-weight GEMM branch and its batched branch.
+PRIMITIVE_CASES = {
+    "add": (T.add, [(2, 3), (3,)]),
+    "sub": (T.sub, [(2, 3), (2, 3)]),
+    "mul": (T.mul, [(2, 3), (2, 1)]),
+    "neg": (T.neg, [(2, 3)]),
+    "exp": (T.exp, [(2, 3)]),
+    "log": (T.log, [(2, 3)]),
+    "pow_const": (lambda a: T.pow_const(a, 3.0), [(2, 3)]),
+    "matmul_2d": (T.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_3d": (T.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "reshape": (lambda a: T.reshape(a, (6, 4)), [(2, 3, 4)]),
+    "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    "getitem": (lambda a: T.getitem(a, (slice(None), 1)), [(2, 3)]),
+    "broadcast_to": (lambda a: T.broadcast_to(a, (4, 2, 3)), [(2, 3)]),
+    "gather_last": (lambda a: T.gather_last(a, np.array([0, 2])), [(2, 3)]),
+    "tsum": (lambda a: T.tsum(a, axis=0), [(2, 3)]),
+    "tmean": (lambda a: T.tmean(a, axis=1), [(2, 3)]),
+    "softmax": (T.softmax, [(2, 3)]),
+    "logsumexp": (T.logsumexp, [(2, 3)]),
+    "layer_norm": (T.layer_norm, [(2, 4), (4,), (4,)]),
+    "gelu": (T.gelu, [(2, 3)]),
+}
 
 
 class TestBasics:
@@ -284,12 +313,54 @@ class TestBackward:
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
 
-    def test_no_grad_suppresses_recording(self):
-        x = Tensor(np.ones(2), requires_grad=True)
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+    def test_no_grad_suppresses_recording(self, name):
+        fn, shapes = PRIMITIVE_CASES[name]
+        rng = np.random.default_rng(3)
+        data = [rng.uniform(0.5, 1.5, shape).astype(np.float32) for shape in shapes]
+        tape = T.active_tape()
+
+        def run(trainable):
+            # Only the last input may require a gradient: any one suffices.
+            inputs = [Tensor(d) for d in data[:-1]]
+            inputs.append(Tensor(data[-1], requires_grad=trainable))
+            return inputs, fn(*inputs)
+
         with no_grad():
-            y = (x * x).sum()
+            _, out_off = run(trainable=True)
+        assert len(tape) == 0
+        assert not out_off.requires_grad
+
+        _, out_const = run(trainable=False)
+        assert len(tape) == 0
+        assert not out_const.requires_grad
+
+        inputs, out_on = run(trainable=True)
+        assert len(tape) > 0
+        assert out_on.requires_grad
+        backward(out_on.sum())
+        assert inputs[-1].grad.shape == inputs[-1].shape
+        for out in (out_off, out_const):
+            np.testing.assert_array_equal(out.data, out_on.data)
+
+    def test_thread_started_under_no_grad_records_on_its_own_tape(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        seen = {}
+
+        def work():
+            y = x * 2.0
+            seen["tape"] = len(T.active_tape())
+            seen["requires_grad"] = y.requires_grad
+            T.active_tape().clear()
+
+        with no_grad():
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert not (x * 2.0).requires_grad
         assert len(T.active_tape()) == 0
-        assert not y.requires_grad
+        assert seen == {"tape": 1, "requires_grad": True}
 
 
 class TestLayoutOps:
