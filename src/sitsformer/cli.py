@@ -134,7 +134,7 @@ def _load_records(run: RunConfig, split: str):
                                                   manifest.ignore_label))
             is not None
         ]
-    return records, manifest
+    return records
 
 
 def _temporal_keys(records):
@@ -150,7 +150,7 @@ def _build_trained_paths(out_dir):
 
 
 def _train_once(run: RunConfig, resume: bool) -> float:
-    records, _ = _load_records(run, "train")
+    records = _load_records(run, "train")
     if not records:
         raise DataError("train split is empty")
     model = SitsFormer(run.model, temporal_keys=_temporal_keys(records),
@@ -163,6 +163,15 @@ def _train_once(run: RunConfig, resume: bool) -> float:
                       state_path=state_path, resume=resume)
     log.info("training done, best mIoU %.4f", best)
     return best
+
+
+def _score(run: RunConfig, checkpoint, split: str):
+    """Evaluate a checkpoint on one split, read under the checkpoint's config."""
+    model = load_checkpoint(checkpoint)
+    records = _load_records(dataclasses.replace(run, model=model.config), split)
+    if not records:
+        raise DataError(f"{split} split is empty")
+    return evaluate(model, records)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -207,13 +216,7 @@ def _cmd_eval(args) -> int:
     run = _apply_overrides(parse_run_config(args.config), args)
     write_resolved_config(run)
     ckpt = args.checkpoint or _build_trained_paths(run.out_dir)[1]
-    model = load_checkpoint(ckpt)
-    records, _ = _load_records(
-        dataclasses.replace(run, model=model.config), args.split
-    )
-    if not records:
-        raise DataError(f"{args.split} split is empty")
-    oa, miou, macc, table, cm = evaluate(model, records)
+    oa, miou, macc, table, cm = _score(run, ckpt, args.split)
     write_confusion(
         os.path.join(run.out_dir, f"confusion_{args.split}.txt"), cm
     )
@@ -264,11 +267,8 @@ def _cmd_ablate(args) -> int:
             os.makedirs(variant.out_dir, exist_ok=True)
             write_resolved_config(variant)
             _train_once(variant, resume=False)
-            model = load_checkpoint(_build_trained_paths(variant.out_dir)[1])
-            records, _ = _load_records(
-                dataclasses.replace(variant, model=model.config), "val"
-            )
-            _, miou, _, _, _ = evaluate(model, records)
+            ckpt = _build_trained_paths(variant.out_dir)[1]
+            _, miou, _, _, _ = _score(variant, ckpt, "val")
             rows.append((axis, setting, miou))
             log.info("ablation %s=%s -> mIoU %.4f", axis, setting, miou)
     table_path = os.path.join(run.out_dir, "ablation.csv")

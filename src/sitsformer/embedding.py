@@ -9,7 +9,7 @@ table keyed by acquisition day rather than by sequence index.
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn import INIT_STD, Affine, trunc_normal
+from .nn import Affine, trunc_normal
 from .tensor import (
     DEFAULT_DTYPE,
     Tensor,
@@ -61,19 +61,15 @@ class TemporalPositionTable:
     earlier day.
     """
 
-    def __init__(self, keys, dim: int, rng=None, dtype=DEFAULT_DTYPE):
+    def __init__(self, keys, dim: int, rng: np.random.Generator,
+                 dtype=DEFAULT_DTYPE):
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1 or keys.size == 0:
             raise ConfigError("temporal position table needs at least one day key")
         if np.unique(keys).size != keys.size:
             raise ConfigError("temporal position table keys must be distinct")
         self.keys = np.sort(keys)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.table = Tensor(
-            trunc_normal(rng, (keys.size, dim), INIT_STD, dtype),
-            requires_grad=True,
-        )
+        self.table = trunc_normal(rng, (keys.size, dim), dtype)
 
     @property
     def dim(self) -> int:
@@ -91,25 +87,15 @@ class TemporalPositionTable:
     def __call__(self, dates) -> Tensor:
         return getitem(self.table, self.row_indices(dates))
 
-    def named_parameters(self, prefix: str):
-        return [(prefix + ".table", self.table)]
-
 
 class SpatialPositionTable:
     """One learned row per token-grid location, added before spatial attention."""
 
-    def __init__(self, n_locations: int, dim: int, rng=None, dtype=DEFAULT_DTYPE):
+    def __init__(self, n_locations: int, dim: int, rng: np.random.Generator,
+                 dtype=DEFAULT_DTYPE):
         if n_locations < 1:
             raise ConfigError("spatial position table needs at least one location")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.table = Tensor(
-            trunc_normal(rng, (n_locations, dim), INIT_STD, dtype),
-            requires_grad=True,
-        )
-
-    def named_parameters(self, prefix: str):
-        return [(prefix + ".table", self.table)]
+        self.table = trunc_normal(rng, (n_locations, dim), dtype)
 
 
 class ClsTokenBank:
@@ -119,24 +105,12 @@ class ClsTokenBank:
     spatial: (K, 1, d), one global readout token per class map.
     """
 
-    def __init__(self, n_cls: int, dim: int, rng=None, dtype=DEFAULT_DTYPE):
+    def __init__(self, n_cls: int, dim: int, rng: np.random.Generator,
+                 dtype=DEFAULT_DTYPE):
         if n_cls < 1:
             raise ConfigError("need at least one cls token")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.temporal = Tensor(
-            trunc_normal(rng, (n_cls, dim), INIT_STD, dtype), requires_grad=True
-        )
-        self.spatial = Tensor(
-            trunc_normal(rng, (n_cls, 1, dim), INIT_STD, dtype),
-            requires_grad=True,
-        )
-
-    def named_parameters(self, prefix: str):
-        return [
-            (prefix + ".temporal", self.temporal),
-            (prefix + ".spatial", self.spatial),
-        ]
+        self.temporal = trunc_normal(rng, (n_cls, dim), dtype)
+        self.spatial = trunc_normal(rng, (n_cls, 1, dim), dtype)
 
 
 def build_temporal_input(grid: Tensor, pe: Tensor, cls_tokens: Tensor) -> Tensor:

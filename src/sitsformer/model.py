@@ -17,10 +17,11 @@ streams may attend to each other.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from . import container
+from . import container, nn
 from .data import SitsSeries
 from .embedding import (
     ClsTokenBank,
@@ -31,7 +32,7 @@ from .embedding import (
     tokenize_sits,
 )
 from .errors import CompatibilityError, ConfigError, ShapeError
-from .nn import INIT_STD, Affine, EncoderWeights, encoder_forward, trunc_normal
+from .nn import Affine, EncoderWeights, encoder_forward, trunc_normal
 from .tensor import DEFAULT_DTYPE, Tensor, getitem, matmul, reshape, tmean, transpose
 
 TASKS = ("segmentation", "classification")
@@ -164,6 +165,19 @@ def parameter_count(config: ModelConfig, n_temporal_keys=None) -> int:
 class SitsFormer:
     """Model weights plus the forward wiring selected by its config."""
 
+    # Checkpoint name prefix -> attribute path, in file order. The prefixes
+    # are the file format's; everything below them is the attribute walk.
+    _PARAMETER_PREFIXES = (
+        ("embed", "embed"),
+        ("pe_temporal", "temporal_pe"),
+        ("pe_spatial", "spatial_pe"),
+        ("cls", "cls"),
+        ("temporal", "temporal_encoder.blocks"),
+        ("spatial", "spatial_encoder.blocks"),
+        ("head.weight", "head_weight"),
+        ("head.bias", "head_bias"),
+    )
+
     def __init__(self, config: ModelConfig, temporal_keys=None, seed: int = 0,
                  dtype=DEFAULT_DTYPE):
         self.config = config
@@ -181,10 +195,8 @@ class SitsFormer:
         self.spatial_encoder = EncoderWeights(
             d, config.depth_spatial, config.n_heads, config.mlp_ratio, rng, dtype
         )
-        self.head_weight = Tensor(
-            trunc_normal(rng, (config.n_streams, d, config.head_width),
-                         INIT_STD, dtype),
-            requires_grad=True,
+        self.head_weight = trunc_normal(
+            rng, (config.n_streams, d, config.head_width), dtype
         )
         self.head_bias = Tensor(
             np.zeros((config.n_streams, 1, config.head_width), dtype=dtype),
@@ -192,14 +204,8 @@ class SitsFormer:
         )
 
     def named_parameters(self):
-        params = list(self.embed.named_parameters("embed"))
-        params += self.temporal_pe.named_parameters("pe_temporal")
-        params += self.spatial_pe.named_parameters("pe_spatial")
-        params += self.cls.named_parameters("cls")
-        params += list(self.temporal_encoder.named_parameters("temporal"))
-        params += list(self.spatial_encoder.named_parameters("spatial"))
-        params += [("head.weight", self.head_weight), ("head.bias", self.head_bias)]
-        return params
+        for prefix, path in self._PARAMETER_PREFIXES:
+            yield from nn.named_parameters(attrgetter(path)(self), prefix)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]

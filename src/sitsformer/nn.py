@@ -19,15 +19,34 @@ from .tensor import DEFAULT_DTYPE, Tensor
 INIT_STD = 0.02
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD,
-                 dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within two sigma."""
+def trunc_normal(rng: np.random.Generator, shape,
+                 dtype=DEFAULT_DTYPE) -> Tensor:
+    """Trainable Normal(0, INIT_STD) draws, each resampled into two sigma."""
     out = rng.standard_normal(shape)
     mask = np.abs(out) > 2.0
     while np.any(mask):
         out[mask] = rng.standard_normal(int(mask.sum()))
         mask = np.abs(out) > 2.0
-    return (std * out).astype(dtype)
+    return Tensor((INIT_STD * out).astype(dtype), requires_grad=True)
+
+
+def named_parameters(obj, prefix: str):
+    """Yield ``(dotted name, tensor)`` for every trainable tensor under ``obj``.
+
+    Attributes are walked in definition order and list items are named by
+    their index, so a block's first query weight is ``<prefix>.attn.q.weight``
+    and an encoder's second block is ``<prefix>.1``. Constant tensors, ints
+    and ndarrays (such as a position table's day keys) are skipped.
+    """
+    if isinstance(obj, Tensor):
+        if obj.requires_grad:
+            yield prefix, obj
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from named_parameters(item, f"{prefix}.{i}")
+    elif hasattr(obj, "__dict__"):
+        for name, value in vars(obj).items():
+            yield from named_parameters(value, f"{prefix}.{name}")
 
 
 class Affine:
@@ -35,16 +54,11 @@ class Affine:
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  dtype=DEFAULT_DTYPE):
-        self.weight = Tensor(trunc_normal(rng, (d_in, d_out), dtype=dtype),
-                             requires_grad=True)
+        self.weight = trunc_normal(rng, (d_in, d_out), dtype)
         self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
-
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
 
 class MSAWeights:
@@ -62,11 +76,6 @@ class MSAWeights:
         self.v = Affine(dim, dim, rng, dtype)
         self.out = Affine(dim, dim, rng, dtype)
 
-    def named_parameters(self, prefix: str):
-        for tag, aff in (("q", self.q), ("k", self.k), ("v", self.v),
-                         ("out", self.out)):
-            yield from aff.named_parameters(f"{prefix}.{tag}")
-
 
 class MLPWeights:
     """Two affine layers with a GELU between (hidden width = ratio * dim)."""
@@ -76,9 +85,13 @@ class MLPWeights:
         self.fc1 = Affine(dim, hidden, rng, dtype)
         self.fc2 = Affine(hidden, dim, rng, dtype)
 
-    def named_parameters(self, prefix: str):
-        yield from self.fc1.named_parameters(f"{prefix}.fc1")
-        yield from self.fc2.named_parameters(f"{prefix}.fc2")
+
+class NormWeights:
+    """Layer-norm scale and shift, initialised to the identity."""
+
+    def __init__(self, dim: int, dtype=DEFAULT_DTYPE):
+        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
 
 
 class BlockWeights:
@@ -86,22 +99,10 @@ class BlockWeights:
 
     def __init__(self, dim: int, heads: int, mlp_ratio: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
-        one = np.ones(dim, dtype=dtype)
-        zero = np.zeros(dim, dtype=dtype)
-        self.ln1_gamma = Tensor(one.copy(), requires_grad=True)
-        self.ln1_beta = Tensor(zero.copy(), requires_grad=True)
-        self.msa = MSAWeights(dim, heads, rng, dtype)
-        self.ln2_gamma = Tensor(one.copy(), requires_grad=True)
-        self.ln2_beta = Tensor(zero.copy(), requires_grad=True)
+        self.ln1 = NormWeights(dim, dtype)
+        self.attn = MSAWeights(dim, heads, rng, dtype)
+        self.ln2 = NormWeights(dim, dtype)
         self.mlp = MLPWeights(dim, mlp_ratio * dim, rng, dtype)
-
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.ln1.gamma", self.ln1_gamma
-        yield f"{prefix}.ln1.beta", self.ln1_beta
-        yield from self.msa.named_parameters(f"{prefix}.attn")
-        yield f"{prefix}.ln2.gamma", self.ln2_gamma
-        yield f"{prefix}.ln2.beta", self.ln2_beta
-        yield from self.mlp.named_parameters(f"{prefix}.mlp")
 
 
 class EncoderWeights:
@@ -112,10 +113,6 @@ class EncoderWeights:
         self.dim = dim
         self.blocks = [BlockWeights(dim, heads, mlp_ratio, rng, dtype)
                        for _ in range(depth)]
-
-    def named_parameters(self, prefix: str):
-        for i, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"{prefix}.{i}")
 
 
 def _check_tokens(z: Tensor, dim: int, who: str) -> None:
@@ -156,8 +153,8 @@ def mlp_forward(z: Tensor, w: MLPWeights) -> Tensor:
 
 
 def transformer_block(z: Tensor, w: BlockWeights) -> Tensor:
-    y = msa_forward(T.layer_norm(z, w.ln1_gamma, w.ln1_beta), w.msa) + z
-    return mlp_forward(T.layer_norm(y, w.ln2_gamma, w.ln2_beta), w.mlp) + y
+    y = msa_forward(T.layer_norm(z, w.ln1.gamma, w.ln1.beta), w.attn) + z
+    return mlp_forward(T.layer_norm(y, w.ln2.gamma, w.ln2.beta), w.mlp) + y
 
 
 def encoder_forward(z: Tensor, w: EncoderWeights) -> Tensor:

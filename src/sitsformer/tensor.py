@@ -190,8 +190,15 @@ def _op(data: np.ndarray, inputs: Sequence[Tensor],
     input requires a gradient. The output requires a gradient exactly when
     the op was recorded, so under :class:`no_grad` outputs are plain
     constants and nothing downstream records either.
+
+    The slots are filled directly, skipping ``Tensor.__init__``. A
+    whole-array reduction's numpy scalar becomes a 0-d array, so that
+    ``grad += g`` stays in place.
     """
-    out = Tensor(data, dtype=data.dtype)
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data)
+    out.requires_grad = False
+    out.grad = None
     if _state.grad_enabled:
         for t in inputs:
             if t.requires_grad:

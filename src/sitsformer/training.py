@@ -227,7 +227,7 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         peak=cfg.peak_lr,
         floor=cfg.floor_lr,
     )
-    params = [p for _, p in model.named_parameters()]
+    params = model.parameters()
     opt = AdamWState(params, weight_decay=cfg.weight_decay)
     start_epoch = 1
     global_step = 0

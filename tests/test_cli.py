@@ -309,6 +309,19 @@ def test_eval_without_checkpoint_exits_1(dataset, tmp_path):
     assert main(["eval", "--config", cfg, "--split", "train"]) == 1
 
 
+def test_empty_val_split_named_by_eval_and_ablate(tmp_path, capsys):
+    data = tmp_path / "one"
+    assert main(["generate", "--out", str(data), "--n-samples", "1",
+                 "--n-classes", "3", "--grid", "4,4", "--t-range", "4,4"]) == 0
+    cfg = _write_cfg(tmp_path / "run.cfg", data, tmp_path / "o", epochs="2")
+    assert main(["train", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--split", "val"]) == 1
+    assert "val split is empty" in capsys.readouterr().err
+    assert main(["ablate", "--config", cfg]) == 1
+    assert "val split is empty" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_exits_1(trained, tmp_path, capsys):
     _, _, out, cfg = trained
     blob = bytearray((out / "best.ckpt").read_bytes())

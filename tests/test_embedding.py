@@ -17,6 +17,10 @@ def identity_affine(width, dtype=np.float32):
     return aff
 
 
+def temporal_table(keys, dim):
+    return emb.TemporalPositionTable(keys, dim, np.random.default_rng(0))
+
+
 # Both (values, dates) types: a plain series and a labelled record.
 SERIES_TYPES = (
     SitsSeries,
@@ -97,27 +101,27 @@ class TestTokenize:
 
 class TestTemporalTable:
     def test_exact_lookup(self):
-        table = emb.TemporalPositionTable([10, 25, 40], dim=4)
+        table = temporal_table([10, 25, 40], dim=4)
         np.testing.assert_array_equal(table.row_indices([25, 10]), [1, 0])
         out = table([25, 10])
         np.testing.assert_array_equal(out.data[0], table.table.data[1])
         np.testing.assert_array_equal(out.data[1], table.table.data[0])
 
     def test_nearest_fallback(self):
-        table = emb.TemporalPositionTable([10, 25, 40], dim=4)
+        table = temporal_table([10, 25, 40], dim=4)
         assert table.row_indices([26])[0] == 1
         assert table.row_indices([17])[0] == 0
 
     def test_tie_goes_to_earlier_key(self):
-        table = emb.TemporalPositionTable([10, 20], dim=4)
+        table = temporal_table([10, 20], dim=4)
         assert table.row_indices([15])[0] == 0
 
     def test_out_of_range_clamps(self):
-        table = emb.TemporalPositionTable([10, 25, 40], dim=4)
+        table = temporal_table([10, 25, 40], dim=4)
         np.testing.assert_array_equal(table.row_indices([0, 99]), [0, 2])
 
     def test_lookup_is_bitwise_deterministic(self):
-        table = emb.TemporalPositionTable(np.arange(0, 70, 7), dim=8)
+        table = temporal_table(np.arange(0, 70, 7), dim=8)
         dates = [3, 14, 14, 65]
         a = table(dates)
         b = table(dates)
@@ -126,18 +130,18 @@ class TestTemporalTable:
 
     def test_empty_keys_rejected(self):
         with pytest.raises(ConfigError):
-            emb.TemporalPositionTable([], dim=4)
+            temporal_table([], dim=4)
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ConfigError):
-            emb.TemporalPositionTable([3, 3, 9], dim=4)
+            temporal_table([3, 3, 9], dim=4)
 
     def test_unsorted_keys_are_sorted(self):
-        table = emb.TemporalPositionTable([40, 10, 25], dim=2)
+        table = temporal_table([40, 10, 25], dim=2)
         np.testing.assert_array_equal(table.keys, [10, 25, 40])
 
     def test_repeated_dates_accumulate_gradient(self):
-        table = emb.TemporalPositionTable([10, 25, 40], dim=3)
+        table = temporal_table([10, 25, 40], dim=3)
         out = table([10, 10, 25])
         backward(out.sum())
         np.testing.assert_array_equal(table.table.grad[0], 2.0)

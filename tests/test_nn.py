@@ -60,7 +60,7 @@ class TestMSA:
         rng = np.random.default_rng(10)
         z = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True,
                    dtype=np.float64)
-        params = [z] + [p for _, p in w.named_parameters("w")]
+        params = [z] + [p for _, p in nn.named_parameters(w, "w")]
         coef = rng.standard_normal((2, 5, 8))
 
         def loss(_):
@@ -72,7 +72,7 @@ class TestMSA:
 class TestBlock:
     def test_zeroed_projections_give_identity(self):
         block = nn.BlockWeights(8, 2, 4, np.random.default_rng(11))
-        block.msa.out.weight.data[:] = 0.0
+        block.attn.out.weight.data[:] = 0.0
         block.mlp.fc2.weight.data[:] = 0.0
         z = random_tokens((3, 4, 8), seed=12)
         out = nn.transformer_block(z, block)
@@ -105,7 +105,7 @@ class TestEncoder:
         # Per block at mlp_ratio 4: attention 4(d^2+d), mlp 8d^2+5d, norms 4d.
         d, depth = 128, 4
         enc = make_encoder(dim=d, depth=depth, heads=4, mlp_ratio=4)
-        counted = sum(p.size for _, p in enc.named_parameters("enc"))
+        counted = sum(p.size for _, p in nn.named_parameters(enc, "enc"))
         formula = depth * (4 * d * d + 4 * d + 8 * d * d + 5 * d + 4 * d)
         assert counted == formula == 793_088
 
@@ -122,7 +122,7 @@ class TestEncoder:
                            seed=21, dtype=np.float64)
         rng = np.random.default_rng(22)
         z = Tensor(rng.standard_normal((1, 3, 4)), dtype=np.float64)
-        params = [p for _, p in enc.named_parameters("enc")]
+        params = [p for _, p in nn.named_parameters(enc, "enc")]
         coef = rng.standard_normal((1, 3, 4))
 
         def loss(_):
@@ -132,9 +132,34 @@ class TestEncoder:
         assert check_gradients(loss, params) < 1e-3
 
 
+class TestParameterWalk:
+    def test_names_follow_attribute_order_and_skip_constants(self):
+        class Leaf:
+            def __init__(self, seed):
+                self.w = Tensor(np.full(2, seed), requires_grad=True)
+                self.frozen = Tensor(np.zeros(2))
+                self.count = 3
+                self.keys = np.arange(4)
+
+        class Root:
+            def __init__(self):
+                self.first = Tensor(np.ones(1), requires_grad=True)
+                self.items = [Leaf(0), Leaf(1)]
+                self.leaf = Leaf(2)
+
+        root = Root()
+        named = list(nn.named_parameters(root, "r"))
+        assert [name for name, _ in named] == [
+            "r.first", "r.items.0.w", "r.items.1.w", "r.leaf.w",
+        ]
+        assert named[0][1] is root.first
+        assert named[2][1] is root.items[1].w
+        assert named[3][1] is root.leaf.w
+
+
 class TestInit:
     def test_trunc_normal_respects_bounds(self):
-        draws = nn.trunc_normal(np.random.default_rng(23), (10000,), std=0.02)
+        draws = nn.trunc_normal(np.random.default_rng(23), (10000,)).data
         assert np.all(np.abs(draws) <= 0.04 + 1e-7)
         # Truncating at two sigma shrinks the std to ~0.880 sigma.
         assert abs(float(draws.std()) - 0.0176) < 0.001
