@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .container import atomic_open, config_from_items, config_text
+from .container import atomic_open, config_from_text, config_text
 from .data import (
     load_split,
     generate_synthetic_dataset,
@@ -24,6 +24,7 @@ from .data import (
 from .errors import ConfigError, DataError, SitsformerError
 from .metrics import write_confusion
 from .model import (
+    CHOICES,
     ModelConfig,
     SitsFormer,
     check_series,
@@ -35,7 +36,7 @@ from .training import TrainConfig, evaluate, train_loop
 
 log = logging.getLogger("sitsformer")
 
-# Pairwise-distinct colors; index k renders class k. Background is black.
+# Pairwise-distinct colors; index k renders class k.
 DEFAULT_PALETTE = (
     (230, 25, 75), (60, 180, 75), (255, 225, 25), (0, 130, 200),
     (245, 130, 48), (145, 30, 180), (70, 240, 240), (240, 50, 230),
@@ -57,24 +58,11 @@ def parse_run_config(path) -> RunConfig:
     """Read a key=value run file; unknown keys are hard errors."""
     try:
         with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
+            text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read run config {path}: {e}") from e
-    raw = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key = key.strip()
-        value = value.strip()
-        if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
     try:
-        return config_from_items(RunConfig, raw.items())
+        return config_from_text(RunConfig, text)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
 
@@ -87,16 +75,14 @@ def write_resolved_config(run: RunConfig) -> str:
     return path
 
 
-def render_class_map(pred, background_label=None):
+def render_class_map(pred):
     """Encode an integer class map as a binary P6 image, one color per class."""
     pred = np.atleast_2d(np.asarray(pred))
     if pred.ndim != 2:
         raise DataError(f"class map must be 2-d, got shape {pred.shape}")
     height, width = pred.shape
     rgb = np.zeros((height, width, 3), dtype=np.uint8)
-    background = pred == background_label if background_label is not None \
-        else np.zeros_like(pred, dtype=bool)
-    classes = np.unique(pred[~background])
+    classes = np.unique(pred)
     n_colors = len(DEFAULT_PALETTE)
     if classes.size and (classes.min() < 0 or classes.max() >= n_colors):
         raise DataError(
@@ -118,6 +104,7 @@ def write_class_map(path, pred):
 
 
 def _load_records(run: RunConfig, split: str):
+    """The split's samples as the run's model reads them; empty is an error."""
     manifest = read_manifest(run.data_dir)
     if manifest.n_classes != run.model.n_classes:
         raise ConfigError(
@@ -134,6 +121,8 @@ def _load_records(run: RunConfig, split: str):
                                                   manifest.ignore_label))
             is not None
         ]
+    if not records:
+        raise DataError(f"{split} split is empty")
     return records
 
 
@@ -151,8 +140,6 @@ def _build_trained_paths(out_dir):
 
 def _train_once(run: RunConfig, resume: bool) -> float:
     records = _load_records(run, "train")
-    if not records:
-        raise DataError("train split is empty")
     model = SitsFormer(run.model, temporal_keys=_temporal_keys(records),
                        seed=run.train.seed)
     os.makedirs(run.out_dir, exist_ok=True)
@@ -169,8 +156,6 @@ def _score(run: RunConfig, checkpoint, split: str):
     """Evaluate a checkpoint on one split, read under the checkpoint's config."""
     model = load_checkpoint(checkpoint)
     records = _load_records(dataclasses.replace(run, model=model.config), split)
-    if not records:
-        raise DataError(f"{split} split is empty")
     return evaluate(model, records)
 
 
@@ -244,19 +229,14 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-ABLATION_AXES = (
-    ("factorization", ("temporal_first", "spatial_first")),
-    ("cls_mode", ("per_class", "single")),
-    ("pe_mode", ("date_lookup", "static")),
-    ("cls_interactions", ("blocked", "full")),
-)
-
-
 def _cmd_ablate(args) -> int:
     run = _apply_overrides(parse_run_config(args.config), args)
     write_resolved_config(run)
+    _load_records(run, "val")  # an empty val split fails before any training
     rows = []
-    for axis, settings in ABLATION_AXES:
+    for axis, settings in CHOICES.items():
+        if axis == "task":
+            continue
         for setting in settings:
             variant_model = dataclasses.replace(run.model, **{axis: setting})
             variant = dataclasses.replace(

@@ -67,6 +67,28 @@ def config_from_items(cls, items):
     return config
 
 
+def config_from_text(cls, text):
+    """config_from_items over ``key=value`` lines.
+
+    Each line and each key and value are stripped; blank lines and lines
+    starting with ``#`` are skipped. A line without ``=`` or a repeated key
+    raises ConfigError naming the line.
+    """
+    raw = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+        if key in raw:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        raw[key] = value.strip()
+    return config_from_items(cls, raw.items())
+
+
 def _build(cls, raw):
     kw = {}
     for f in dataclasses.fields(cls):
@@ -130,17 +152,15 @@ class Reader:
     def header(self, cls):
         """The length-prefixed key=value header, parsed into dataclass cls.
 
-        Bytes that are not UTF-8 and keys or values that cls rejects raise
-        FormatError at the offset where the header text starts.
+        Bytes that are not UTF-8, lines that config_from_text rejects, and
+        keys or values that cls rejects raise FormatError at the offset
+        where the header text starts.
         """
         (n,) = self.unpack("<I")
         start = self.pos
         text = self.take(n)
         try:
-            lines = text.decode("utf-8").splitlines()
-            return config_from_items(
-                cls, (line.partition("=")[::2] for line in lines if line)
-            )
+            return config_from_text(cls, text.decode("utf-8"))
         except ValueError as e:
             raise FormatError(f"bad {self.what} header: {e}", offset=start) from None
 

@@ -107,8 +107,6 @@ class ClsTokenBank:
 
     def __init__(self, n_cls: int, dim: int, rng: np.random.Generator,
                  dtype=DEFAULT_DTYPE):
-        if n_cls < 1:
-            raise ConfigError("need at least one cls token")
         self.temporal = trunc_normal(rng, (n_cls, dim), dtype)
         self.spatial = trunc_normal(rng, (n_cls, 1, dim), dtype)
 
@@ -120,16 +118,8 @@ def build_temporal_input(grid: Tensor, pe: Tensor, cls_tokens: Tensor) -> Tensor
     same K cls tokens are prepended at every location. Output is
     (N_H * N_W, K + N_T, d).
     """
-    if grid.ndim != 4:
-        raise ShapeError(f"token grid must be 4-d, got {grid.shape}")
     n_t, n_h, n_w, d = grid.shape
-    if pe.shape != (n_t, d):
-        raise ShapeError(
-            f"temporal encodings {pe.shape} do not match grid ({n_t}, {d})"
-        )
     k = cls_tokens.shape[0]
-    if cls_tokens.shape != (k, d):
-        raise ShapeError(f"cls tokens must be (K, {d}), got {cls_tokens.shape}")
     x = grid + reshape(pe, (n_t, 1, 1, d))
     x = transpose(x, (1, 2, 0, 3))
     x = reshape(x, (n_h * n_w, n_t, d))
@@ -144,17 +134,7 @@ def build_spatial_input(cls_out: Tensor, ps: Tensor, cls_tokens: Tensor) -> Tens
     to (K, N_H * N_W, d), spatial encodings added, and each class map gets one
     global token in front. Output is (K, 1 + N_H * N_W, d).
     """
-    if cls_out.ndim != 3:
-        raise ShapeError(f"expected (locations, K, d), got {cls_out.shape}")
-    n_loc, k, d = cls_out.shape
-    if ps.shape != (n_loc, d):
-        raise ShapeError(
-            f"spatial encodings {ps.shape} do not match ({n_loc}, {d})"
-        )
-    if cls_tokens.shape != (k, 1, d):
-        raise ShapeError(
-            f"global cls tokens must be ({k}, 1, {d}), got {cls_tokens.shape}"
-        )
+    n_loc, _, d = cls_out.shape
     z = transpose(cls_out, (1, 0, 2))
     z = z + reshape(ps, (1, n_loc, d))
     return concat([cls_tokens, z], axis=1)

@@ -35,11 +35,15 @@ from .errors import CompatibilityError, ConfigError, ShapeError
 from .nn import Affine, EncoderWeights, encoder_forward, trunc_normal
 from .tensor import DEFAULT_DTYPE, Tensor, getitem, matmul, reshape, tmean, transpose
 
-TASKS = ("segmentation", "classification")
-FACTORIZATIONS = ("temporal_first", "spatial_first")
-CLS_MODES = ("per_class", "single")
-PE_MODES = ("date_lookup", "static")
-CLS_INTERACTIONS = ("blocked", "full")
+# Each choice field of ModelConfig and its allowed values, in field order.
+# Every field but ``task`` is an ablation axis.
+CHOICES = {
+    "task": ("segmentation", "classification"),
+    "factorization": ("temporal_first", "spatial_first"),
+    "cls_mode": ("per_class", "single"),
+    "pe_mode": ("date_lookup", "static"),
+    "cls_interactions": ("blocked", "full"),
+}
 
 CHECKPOINT_MAGIC = b"SFCK"
 CHECKPOINT_VERSION = 1
@@ -95,13 +99,8 @@ class ModelConfig:
             )
         if T // t < 1:
             raise ConfigError(f"patch t={t} leaves no frames from T={T}")
-        for name, value, allowed in (
-            ("task", self.task, TASKS),
-            ("factorization", self.factorization, FACTORIZATIONS),
-            ("cls_mode", self.cls_mode, CLS_MODES),
-            ("pe_mode", self.pe_mode, PE_MODES),
-            ("cls_interactions", self.cls_interactions, CLS_INTERACTIONS),
-        ):
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
 
@@ -274,15 +273,8 @@ def spatial_encode(z: Tensor, model: SitsFormer):
 def segmentation_head(local: Tensor, model: SitsFormer) -> Tensor:
     """Project each spatial token back to its pixel patch; tile to (H, W, K)."""
     cfg = model.config
-    if cfg.task != "segmentation":
-        raise ConfigError(f"segmentation head called with task {cfg.task!r}")
-    s = cfg.n_streams
     gh, gw = cfg.grid_hw
     _, h, w = cfg.patch
-    if local.shape != (s, gh * gw, cfg.dim):
-        raise ShapeError(
-            f"head expects ({s}, {gh * gw}, {cfg.dim}) tokens, got {local.shape}"
-        )
     out = matmul(local, model.head_weight) + model.head_bias
     k = cfg.n_classes
     if cfg.cls_mode == "per_class":
@@ -297,14 +289,7 @@ def segmentation_head(local: Tensor, model: SitsFormer) -> Tensor:
 def classification_head(global_out: Tensor, model: SitsFormer) -> Tensor:
     """Project each readout token to its class logit; returns (K,)."""
     cfg = model.config
-    if cfg.task != "classification":
-        raise ConfigError(f"classification head called with task {cfg.task!r}")
-    s = cfg.n_streams
-    if global_out.shape != (s, cfg.dim):
-        raise ShapeError(
-            f"head expects ({s}, {cfg.dim}) readouts, got {global_out.shape}"
-        )
-    z = reshape(global_out, (s, 1, cfg.dim))
+    z = reshape(global_out, (cfg.n_streams, 1, cfg.dim))
     out = matmul(z, model.head_weight) + model.head_bias
     return reshape(out, (cfg.n_classes,))
 

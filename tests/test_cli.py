@@ -144,11 +144,6 @@ def test_checkerboard_ppm_bytes():
     assert pixels == c0 + c1 + c1 + c0
 
 
-def test_background_renders_black():
-    ppm = render_class_map(np.full((3, 3), 9), background_label=9)
-    assert ppm.endswith(b"\x00" * 27)
-
-
 def test_render_is_deterministic():
     pred = np.arange(12).reshape(3, 4) % 5
     assert render_class_map(pred) == render_class_map(pred)
@@ -320,6 +315,7 @@ def test_empty_val_split_named_by_eval_and_ablate(tmp_path, capsys):
     assert "val split is empty" in capsys.readouterr().err
     assert main(["ablate", "--config", cfg]) == 1
     assert "val split is empty" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "factorization_temporal_first").exists()
 
 
 def test_corrupt_checkpoint_exits_1(trained, tmp_path, capsys):

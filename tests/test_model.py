@@ -42,9 +42,10 @@ def toy_series(cfg, seed=0):
 
 
 class TestConfig:
-    def test_bad_enum(self):
-        with pytest.raises(ConfigError, match="factorization"):
-            m.ModelConfig(**{**TOY, "factorization": "sideways"})
+    @pytest.mark.parametrize("axis", m.CHOICES)
+    def test_bad_enum(self, axis):
+        with pytest.raises(ConfigError, match=axis):
+            m.ModelConfig(**{**TOY, axis: "sideways"})
 
     def test_indivisible_patch(self):
         with pytest.raises(ConfigError):
@@ -443,9 +444,12 @@ class TestCheckpoint:
         ("state", lambda t: re.sub(rb"opt_step=\d+\n", b"", t)),
         ("checkpoint", lambda t: t.replace(b"temporal_keys=3,17",
                                            b"temporal_keys=3,03")),
+        ("checkpoint", lambda t: t + b"n_classes=3\n"),
+        ("state", lambda t: t + b"epoch=3\n"),
     ], ids=["bad-temporal-key", "ckpt-not-utf8", "invalid-config",
             "state-not-utf8", "bad-epoch", "missing-opt-step",
-            "repeated-temporal-key"])
+            "repeated-temporal-key", "ckpt-repeated-key",
+            "state-repeated-key"])
     def test_corrupt_header_is_format_error(self, tmp_path, fmt, edit):
         write, read = FORMATS[fmt]
         path = tmp_path / fmt
