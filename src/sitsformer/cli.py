@@ -59,7 +59,7 @@ def parse_run_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read run config {path}: {e}") from e
     try:
         return config_from_text(RunConfig, text)

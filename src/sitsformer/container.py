@@ -115,20 +115,26 @@ def _parse_value(key, value, kind):
 
 
 class Reader:
-    """A cursor over one container file, checked against its magic.
+    """A cursor over one container file, checked against magic and version.
 
-    ``what`` names the format in error messages; ``version`` holds the
-    stored version for the caller to check.
+    ``what`` names the format in error messages. A bad magic is a
+    FormatError; a stored version other than ``version`` is a
+    CompatibilityError, since the file may be well formed for another build.
     """
 
-    def __init__(self, path, magic: bytes, what: str):
+    def __init__(self, path, magic: bytes, version: int, what: str):
         with open(path, "rb") as f:
             self.blob = f.read()
         self.pos = 0
         self.what = what
         if self.take(len(magic)) != magic:
             raise FormatError(f"not a {what} file (bad magic)", offset=0)
-        (self.version,) = self.unpack("<H")
+        (stored,) = self.unpack("<H")
+        if stored != version:
+            raise CompatibilityError(
+                f"{what} version {stored} unsupported (this build reads "
+                f"{version})"
+            )
 
     def take(self, n: int) -> bytes:
         start = self.pos

@@ -125,13 +125,7 @@ def write_sample(path, record: SitsRecord) -> None:
 
 def read_sample(path) -> SitsRecord:
     """Parse one sample file; any malformation fails with a byte offset."""
-    r = container.Reader(path, SAMPLE_MAGIC, "sample")
-    if r.version != SAMPLE_VERSION:
-        raise FormatError(
-            f"sample version {r.version} unsupported (this build reads "
-            f"{SAMPLE_VERSION})",
-            offset=4,
-        )
+    r = container.Reader(path, SAMPLE_MAGIC, SAMPLE_VERSION, "sample")
     kind_code, T, H, W, C = r.unpack("<BHHHH")
     if kind_code not in _CODE_TO_KIND:
         raise FormatError(f"unknown label kind code {kind_code}", offset=6)

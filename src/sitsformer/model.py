@@ -31,7 +31,7 @@ from .embedding import (
     build_temporal_input,
     tokenize_sits,
 )
-from .errors import CompatibilityError, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .nn import Affine, EncoderWeights, encoder_forward, trunc_normal
 from .tensor import DEFAULT_DTYPE, Tensor, getitem, matmul, reshape, tmean, transpose
 
@@ -143,10 +143,14 @@ class ModelConfig:
 
 
 def parameter_count(config: ModelConfig, n_temporal_keys=None) -> int:
-    """Closed-form learnable-scalar count for a given configuration."""
+    """Closed-form learnable-scalar count for a given configuration.
+
+    n_temporal_keys is the number of day keys of a ``date_lookup`` table;
+    a ``static`` table always has one row per frame.
+    """
     d = config.dim
     r = config.mlp_ratio
-    if n_temporal_keys is None:
+    if n_temporal_keys is None or config.pe_mode == "static":
         n_temporal_keys = config.n_frames
     # Attention 4(d^2+d), mlp (2r d^2 + (r+1) d), two norms 4d per block.
     per_block = (4 + 2 * r) * d * d + (9 + r) * d
@@ -180,7 +184,8 @@ class SitsFormer:
     def __init__(self, config: ModelConfig, temporal_keys=None, seed: int = 0,
                  dtype=DEFAULT_DTYPE):
         self.config = config
-        if temporal_keys is None:
+        if temporal_keys is None or config.pe_mode == "static":
+            # A static table is keyed by frame index, whatever days it is given.
             temporal_keys = np.arange(config.n_frames)
         rng = np.random.default_rng([seed, 2])
         d = config.dim
@@ -346,12 +351,8 @@ def save_checkpoint(path, model: SitsFormer) -> None:
 
 def load_checkpoint(path) -> SitsFormer:
     """Rebuild a model from a checkpoint file."""
-    r = container.Reader(path, CHECKPOINT_MAGIC, "checkpoint")
-    if r.version != CHECKPOINT_VERSION:
-        raise CompatibilityError(
-            f"checkpoint version {r.version} unsupported "
-            f"(this build reads {CHECKPOINT_VERSION})"
-        )
+    r = container.Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                         "checkpoint")
     header = r.header(_CheckpointHeader)
     model = SitsFormer(header.config, temporal_keys=header.temporal_keys, seed=0)
     r.tensors([(n, (p.data,)) for n, p in model.named_parameters()])

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import container
 from .errors import (
-    CompatibilityError,
     ConfigError,
     DataError,
     ShapeError,
@@ -203,6 +202,20 @@ def _sample_loss_and_prediction(record, model: SitsFormer, cfg: TrainConfig,
     return loss, np.argmax(logits.data, axis=-1)
 
 
+def _drop_log_lines_after(log_path, epoch: int) -> None:
+    """Keep only the log lines of epochs up to ``epoch``.
+
+    An epoch's line is written before its state, so a run killed between
+    the two resumes from the epoch before and would log that epoch twice.
+    """
+    if not os.path.exists(log_path):
+        return
+    with open(log_path, encoding="utf-8") as f:
+        kept = [line for line in f if int(line.split(",", 1)[0]) <= epoch]
+    with container.atomic_open(log_path, "w") as f:
+        f.writelines(kept)
+
+
 def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
                checkpoint_path, state_path=None, resume: bool = False,
                stop_after_epoch=None):
@@ -211,7 +224,8 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
     Appends one "epoch,step,lr,loss,OA,mIoU" line per epoch to log_path and
     keeps the best-mIoU weights at checkpoint_path. When state_path is set,
     the full optimizer state is written each epoch; resume=True picks that
-    state up and continues exactly as the uninterrupted run would have.
+    state up, drops any log line past its epoch, and continues exactly as
+    the uninterrupted run would have.
     stop_after_epoch ends the process early without shortening the schedule,
     emulating an interrupted run that a later resume completes.
     """
@@ -238,6 +252,7 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         start_epoch, global_step, best_miou = load_training_state(
             state_path, model, opt
         )
+        _drop_log_lines_after(log_path, start_epoch)
         start_epoch += 1
 
     recent_losses = []
@@ -332,12 +347,7 @@ def save_training_state(path, model: SitsFormer, opt: AdamWState, epoch: int,
 
 def load_training_state(path, model: SitsFormer, opt: AdamWState):
     """Restore weights and moments in place; returns (epoch, step, best_miou)."""
-    r = container.Reader(path, STATE_MAGIC, "training state")
-    if r.version != STATE_VERSION:
-        raise CompatibilityError(
-            f"training state version {r.version} unsupported "
-            f"(this build reads {STATE_VERSION})"
-        )
+    r = container.Reader(path, STATE_MAGIC, STATE_VERSION, "training state")
     header = r.header(_StateHeader)
     r.tensors(_state_tensors(model, opt))
     r.end()

@@ -2,6 +2,8 @@
 
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +289,14 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, line):
     assert f"{key}={value!r}" in err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"data_dir=\xff\nout_dir=y\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cfg) in err
+
+
 def test_missing_data_dir_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("out_dir=y\n")
@@ -402,3 +412,16 @@ def test_log_level_env_var(monkeypatch):
     monkeypatch.setenv("SITSFORMER_LOG", "not-a-level")
     _setup_logging()
     assert logging.getLogger().level == logging.WARNING
+
+
+def test_import_loads_no_scipy():
+    # The runtime is numpy only; scipy is a test-time reference.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    probe = ("import sys, sitsformer.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -91,16 +91,6 @@ class TestSampleFile:
             d.read_sample(path)
         assert err.value.offset == 0
 
-    def test_version_bump_rejected(self, tmp_path):
-        path = tmp_path / "v9.sits"
-        d.write_sample(path, small_record())
-        blob = bytearray(path.read_bytes())
-        blob[4:6] = (9).to_bytes(2, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version 9") as err:
-            d.read_sample(path)
-        assert err.value.offset == 4
-
     def test_truncation_fails_closed(self, tmp_path):
         path = tmp_path / "t.sits"
         d.write_sample(path, small_record())

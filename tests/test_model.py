@@ -106,6 +106,18 @@ class TestTemporalEncode:
         b = m.temporal_encode(SitsSeries(values, [10, 90, 180, 300]), model)
         np.testing.assert_array_equal(a.data, b.data)
 
+    def test_static_table_is_keyed_by_frame_index(self):
+        # Day keys passed to a static model are ignored: row i serves frame i.
+        cfg = m.ModelConfig(**TOY, pe_mode="static")
+        days = np.arange(1, 360, 10)
+        model = m.SitsFormer(cfg, temporal_keys=days, seed=1)
+        assert model.temporal_pe.table.shape == (cfg.n_frames, cfg.dim)
+        query = model._temporal_query(days[: cfg.n_frames])
+        np.testing.assert_array_equal(model.temporal_pe.row_indices(query),
+                                      np.arange(cfg.n_frames))
+        assert m.count_parameters(model) == m.parameter_count(cfg)
+        assert m.parameter_count(cfg, days.size) == m.parameter_count(cfg)
+
     def test_wrong_input_shape(self):
         model = toy_model()
         bad = SitsSeries(np.zeros((4, 4, 6, 2), dtype=np.float32), [1, 2, 3, 4])
@@ -304,13 +316,13 @@ VARIANT_PINS = {
     ("temporal_first", "per_class", "date_lookup", "full", "classification"):
         (0.00042757019121446185, 0.0016430252734932365, 0.7641635903893075),
     ("temporal_first", "per_class", "static", "blocked", "segmentation"):
-        (0.019244782316191218, 0.054059567467981365, 0.32867780107386385),
+        (0.01933301970284654, 0.05397760028002445, 0.3286773826026591),
     ("temporal_first", "per_class", "static", "blocked", "classification"):
-        (0.00040638075343864136, 0.0017114917128973504, 0.7642064885359567),
+        (0.0004071053059247692, 0.0017117906940644356, 0.7642064012173452),
     ("temporal_first", "per_class", "static", "full", "segmentation"):
-        (0.019944247470333, 0.05361124654534196, 0.3286768031855691),
+        (0.020033088171634662, 0.05352879449234648, 0.32867642389989044),
     ("temporal_first", "per_class", "static", "full", "classification"):
-        (0.00042694442286260004, 0.0016427097749683237, 0.7641636287053277),
+        (0.00042757019121446185, 0.0016430252734932365, 0.7641635903893075),
     ("temporal_first", "single", "date_lookup", "blocked", "segmentation"):
         (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
     ("temporal_first", "single", "date_lookup", "blocked", "classification"):
@@ -320,13 +332,13 @@ VARIANT_PINS = {
     ("temporal_first", "single", "date_lookup", "full", "classification"):
         (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
     ("temporal_first", "single", "static", "blocked", "segmentation"):
-        (0.013304180960984985, 0.06030781892155661, 0.3303229358721773),
+        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
     ("temporal_first", "single", "static", "blocked", "classification"):
-        (0.0011655351604940077, 0.0027008234378650764, 0.7646490657399033),
+        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
     ("temporal_first", "single", "static", "full", "segmentation"):
-        (0.013304180960984985, 0.06030781892155661, 0.3303229358721773),
+        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
     ("temporal_first", "single", "static", "full", "classification"):
-        (0.0011655351604940077, 0.0027008234378650764, 0.7646490657399033),
+        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
     ("spatial_first", "per_class", "date_lookup", "blocked", "segmentation"):
         (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
     ("spatial_first", "per_class", "date_lookup", "blocked", "classification"):
@@ -336,13 +348,13 @@ VARIANT_PINS = {
     ("spatial_first", "per_class", "date_lookup", "full", "classification"):
         (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
     ("spatial_first", "per_class", "static", "blocked", "segmentation"):
-        (0.022735120540294605, 0.04911346390075806, 0.3276428554762475),
+        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
     ("spatial_first", "per_class", "static", "blocked", "classification"):
-        (0.001210109640261194, 0.002435619139762876, 0.7650183352187816),
+        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
     ("spatial_first", "per_class", "static", "full", "segmentation"):
-        (0.022735120540294605, 0.04911346390075806, 0.3276428554762475),
+        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
     ("spatial_first", "per_class", "static", "full", "classification"):
-        (0.001210109640261194, 0.002435619139762876, 0.7650183352187816),
+        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
     ("spatial_first", "single", "date_lookup", "blocked", "segmentation"):
         (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
     ("spatial_first", "single", "date_lookup", "blocked", "classification"):
@@ -352,13 +364,13 @@ VARIANT_PINS = {
     ("spatial_first", "single", "date_lookup", "full", "classification"):
         (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
     ("spatial_first", "single", "static", "blocked", "segmentation"):
-        (0.014317996172744108, 0.059273009031355246, 0.3288463629052237),
+        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
     ("spatial_first", "single", "static", "blocked", "classification"):
-        (0.0038369126835925784, 0.0038369126835925784, 0.7668914311174648),
+        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
     ("spatial_first", "single", "static", "full", "segmentation"):
-        (0.014317996172744108, 0.059273009031355246, 0.3288463629052237),
+        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
     ("spatial_first", "single", "static", "full", "classification"):
-        (0.0038369126835925784, 0.0038369126835925784, 0.7668914311174648),
+        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
 }
 
 
@@ -413,7 +425,7 @@ class TestCheckpoint:
             FORMATS[fmt][1](path)
         assert err.value.offset == 0
 
-    @pytest.mark.parametrize("fmt", HEADER_FORMATS)
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_version_bump_rejected(self, tmp_path, fmt):
         write, read = FORMATS[fmt]
         path = tmp_path / fmt

@@ -317,6 +317,28 @@ class TestTrainLoop:
             np.testing.assert_array_equal(pa.data, pc.data)
         assert log_a.read_bytes() == log_b.read_bytes()
 
+    def test_resume_after_kill_between_log_and_state(self, tmp_path):
+        # A kill after epoch 3's log line but before its state leaves the
+        # state at epoch 2; the resumed run must not log epoch 3 twice.
+        cfg = tr.TrainConfig(**TINY_TRAIN)
+        model_a, records = tiny_setup()
+        log_a = tmp_path / "a.csv"
+        tr.train_loop(model_a, records, cfg, log_a, tmp_path / "a.ckpt")
+
+        model_b, records_b = tiny_setup()
+        log_b = tmp_path / "b.csv"
+        state_b = tmp_path / "b.state"
+        tr.train_loop(model_b, records_b, cfg, log_b, tmp_path / "b.ckpt",
+                      state_path=state_b, stop_after_epoch=2)
+        epoch_3 = log_a.read_text(encoding="utf-8").splitlines(True)[2]
+        with open(log_b, "a", encoding="utf-8") as f:
+            f.write(epoch_3)
+
+        model_c, records_c = tiny_setup()
+        tr.train_loop(model_c, records_c, cfg, log_b, tmp_path / "b.ckpt",
+                      state_path=state_b, resume=True)
+        assert log_b.read_bytes() == log_a.read_bytes()
+
     def test_nan_loss_aborts_with_diagnostics(self, tmp_path):
         model, records = tiny_setup()
         model.embed.weight.data[:] = np.nan
