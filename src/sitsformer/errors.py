@@ -43,16 +43,20 @@ class MetricError(SitsformerError, ValueError):
 
 
 class TrainingDiverged(SitsformerError, RuntimeError):
-    """Training aborted on a non-finite loss.
+    """Training aborted on a non-finite loss or gradient.
 
-    Carries the step/lr at failure and the recent loss history for diagnosis.
+    Carries the step/lr at failure, the gradient norm and the recent loss
+    history for diagnosis.
     """
 
-    def __init__(self, step: int, lr: float, loss_history: list[float]):
+    def __init__(self, step: int, lr: float, loss_history: list[float],
+                 grad_norm: float):
         tail = ", ".join(f"{v:.6g}" for v in loss_history[-10:])
         super().__init__(
-            f"non-finite loss at step {step} (lr={lr:.6g}); recent losses: [{tail}]"
+            f"non-finite loss or gradient at step {step} (lr={lr:.6g}, "
+            f"gradient norm {grad_norm:.6g}); recent losses: [{tail}]"
         )
         self.step = step
         self.lr = lr
+        self.grad_norm = grad_norm
         self.loss_history = list(loss_history)

@@ -249,8 +249,7 @@ def temporal_encode(series: SitsSeries, model: SitsFormer) -> Tensor:
         grid = reshape(x, (n_t, gh, gw, d))
     pe = model.temporal_pe(model._temporal_query(series.dates))
     z = build_temporal_input(grid, pe, model.cls.temporal)
-    z = encoder_forward(z, model.temporal_encoder)
-    return getitem(z, (slice(None), slice(0, cfg.n_streams)))
+    return encoder_forward(z, model.temporal_encoder, keep=cfg.n_streams)
 
 
 def spatial_encode(z: Tensor, model: SitsFormer):

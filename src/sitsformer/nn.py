@@ -2,8 +2,9 @@
 
 Pre-norm blocks: ``y = msa(ln(z)) + z`` followed by ``z' = mlp(ln(y)) + y``.
 Feature shape is preserved through every block, so the encoder can be stacked
-to any depth without reshaping. No dropout anywhere; the training recipe this
-package implements uses none.
+to any depth without reshaping. A non-empty encoder ends in a parameter-free
+layer norm, ViT's ``LN(z_L)`` readout (arXiv 2010.11929, Eq. 4). No dropout
+anywhere; the training recipe this package implements uses none.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ class MLPWeights:
 
 
 class NormWeights:
-    """Layer-norm scale and shift, initialised to the identity."""
+    """Layer-norm scale and shift, initialised to the identity.
 
-    def __init__(self, dim: int, dtype=DEFAULT_DTYPE):
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+    With ``trainable=False`` they stay constants, outside the parameters.
+    """
+
+    def __init__(self, dim: int, dtype=DEFAULT_DTYPE, trainable: bool = True):
+        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=trainable)
+        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=trainable)
 
 
 class BlockWeights:
@@ -106,13 +110,19 @@ class BlockWeights:
 
 
 class EncoderWeights:
-    """A stack of ``depth`` blocks sharing one feature width."""
+    """A stack of ``depth`` blocks sharing one feature width, then a norm.
+
+    The final norm is fixed at gamma = 1, beta = 0: whatever reads the
+    encoder out is affine, so a learned scale and shift there would add
+    nothing.
+    """
 
     def __init__(self, dim: int, depth: int, heads: int, mlp_ratio: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         self.dim = dim
         self.blocks = [BlockWeights(dim, heads, mlp_ratio, rng, dtype)
                        for _ in range(depth)]
+        self.norm = NormWeights(dim, dtype, trainable=False)
 
 
 def _check_tokens(z: Tensor, dim: int, who: str) -> None:
@@ -157,8 +167,18 @@ def transformer_block(z: Tensor, w: BlockWeights) -> Tensor:
     return mlp_forward(T.layer_norm(y, w.ln2.gamma, w.ln2.beta), w.mlp) + y
 
 
-def encoder_forward(z: Tensor, w: EncoderWeights) -> Tensor:
+def encoder_forward(z: Tensor, w: EncoderWeights,
+                    keep: int | None = None) -> Tensor:
+    """Run the blocks, keep the first ``keep`` tokens (default all), then norm.
+
+    The final norm is per token, so a caller that reads only the leading
+    tokens passes ``keep`` and the others are never normalised.
+    """
     _check_tokens(z, w.dim, "encoder_forward")
     for block in w.blocks:
         z = transformer_block(z, block)
+    if keep is not None:
+        z = T.getitem(z, (slice(None), slice(0, keep)))
+    if w.blocks:
+        z = T.layer_norm(z, w.norm.gamma, w.norm.beta)
     return z

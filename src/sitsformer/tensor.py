@@ -207,16 +207,18 @@ def _op(data: np.ndarray, inputs: Sequence[Tensor],
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` into ``t.grad``; the first touch stores a copy of ``g``.
 
     The copy matters: ``g`` is often a view of another tensor's gradient,
-    which later accumulation into ``t.grad`` must not write through.
+    which later accumulation into ``t.grad`` must not write through. A
+    caller passes ``owned=True`` only for a fresh array that nothing else
+    holds, which is then stored as it is.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype)
+        t.grad = g.astype(t.data.dtype, copy=not owned)
     else:
         t.grad += g
 
@@ -226,7 +228,10 @@ def backward(loss: Tensor) -> None:
 
     Consumes the current thread's tape: entries recorded by unrelated forward
     passes are skipped (their outputs carry no gradient) but discarded all the
-    same, so each training step starts from an empty tape.
+    same, so each training step starts from an empty tape. Each entry is
+    popped, and its output's gradient detached, before its closure runs, so
+    op outputs, closures and intermediate gradients are freed as soon as
+    they are consumed; only leaf tensors keep a gradient.
     """
     if loss.size != 1:
         raise ContractError(
@@ -236,10 +241,11 @@ def backward(loss: Tensor) -> None:
     try:
         if loss.requires_grad:
             _accum(loss, np.ones_like(loss.data))
-            for out, fn in reversed(tape):
-                if out.grad is None:
-                    continue
-                fn(out.grad)
+            while tape:
+                out, fn = tape.pop()
+                g, out.grad = out.grad, None
+                if g is not None:
+                    fn(g)
     finally:
         tape.clear()
 
@@ -357,7 +363,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 _accum(a, (g2d @ b_data.T).reshape(a.shape))
             if b.requires_grad:
-                _accum(b, a_data.reshape(m, k).T @ g2d)
+                _accum(b, a_data.reshape(m, k).T @ g2d, owned=True)
 
         return _op(out_data, (a, b), back_2d)
     try:
@@ -448,7 +454,7 @@ def getitem(a: Tensor, key) -> Tensor:
             np.add.at(buf, key, g)
         else:
             buf[key] += g
-        _accum(a, buf)
+        _accum(a, buf, owned=True)
 
     return _op(out_data, (a,), back)
 
@@ -469,7 +475,7 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
     def back(g):
         buf = np.zeros_like(a.data)
         np.put_along_axis(buf, expanded, g[..., None], axis=-1)
-        _accum(a, buf)
+        _accum(a, buf, owned=True)
 
     return _op(np.take_along_axis(a.data, expanded, axis=-1)[..., 0], (a,), back)
 
@@ -609,7 +615,7 @@ def gelu(a: Tensor) -> Tensor:
 
     def back(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accum(a, g * (phi_cdf + x * pdf))
+        _accum(a, g * (phi_cdf + x * pdf), owned=True)
 
     if x.dtype == np.float64:
         # Iterating .flat builds no array of Python floats (np.vectorize does).

@@ -2,9 +2,11 @@
 
 Dense runs use cross-entropy averaged over non-background pixels; global
 runs use focal loss. Optimization is Adam with decoupled weight decay under
-a linear-warmup, cosine-decay schedule. Both loops are reproducible bit for
-bit from (seed, data), and a resumed run continues the uninterrupted one
-exactly.
+a linear-warmup, cosine-decay schedule, on gradients clipped to a global
+norm of ``GRAD_CLIP_NORM``. Each sample is back-propagated right after its
+forward pass, so one sample's tape is alive at a time whatever the batch
+size. Both loops are reproducible bit for bit from (seed, data), and a
+resumed run continues the uninterrupted one exactly.
 """
 
 import math
@@ -39,6 +41,8 @@ STATE_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Largest global L2 norm of the gradient an Adam update sees (ViT's recipe).
+GRAD_CLIP_NORM = 1.0
 
 
 # -- losses ---------------------------------------------------------------------
@@ -124,6 +128,21 @@ def adamw_step(params, state: AdamWState, lr: float) -> None:
         v[...] = b2 * v + (1.0 - b2) * (g * g)
         update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         p.data[...] -= lr * (update + state.weight_decay * p.data)
+
+
+def clip_grad_norm(params) -> float:
+    """Scale the gradients in place to a global norm of at most GRAD_CLIP_NORM.
+
+    Returns the norm before clipping. A non-finite norm leaves them as they
+    are, for the caller to reject.
+    """
+    grads = [p.grad for p in params if p.grad is not None]
+    norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
+                         for g in grads))
+    if math.isfinite(norm) and norm > GRAD_CLIP_NORM:
+        for g in grads:
+            g *= GRAD_CLIP_NORM / norm
+    return norm
 
 
 # -- schedule -------------------------------------------------------------------
@@ -266,23 +285,26 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         for chunk_start in range(0, len(order), cfg.batch_size):
             batch = order[chunk_start : chunk_start + cfg.batch_size]
             model.zero_grad()
-            total = None
+            sample_losses = []
             for idx in batch:
                 record = samples[int(idx)]
                 loss, pred = _sample_loss_and_prediction(
                     record, model, cfg, ignore_label
                 )
                 cm.update(record.labels, pred)
-                total = loss if total is None else total + loss
-            batch_loss = total * (1.0 / len(batch))
-            loss_value = float(batch_loss.item())
+                sample_losses.append(loss.item())
+                # Parameter grads add up until zero_grad, so the batch mean's
+                # gradient needs no more than this sample's tape.
+                backward(loss * (1.0 / len(batch)))
+            loss_value = sum(sample_losses) / len(batch)
             recent_losses.append(loss_value)
             del recent_losses[:-20]
             global_step += 1
             lr = lr_at_step(schedule, global_step)
-            if not math.isfinite(loss_value):
-                raise TrainingDiverged(global_step, lr, recent_losses)
-            backward(batch_loss)
+            grad_norm = clip_grad_norm(params)
+            if not (math.isfinite(loss_value) and math.isfinite(grad_norm)):
+                raise TrainingDiverged(global_step, lr, recent_losses,
+                                       grad_norm)
             adamw_step(params, opt, lr)
             epoch_losses.append(loss_value)
         oa, miou, _ = metrics(cm)

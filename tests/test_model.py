@@ -302,81 +302,85 @@ def test_forward_shape_contract(n_classes, gh, gw, frames, channels, task,
         assert out.shape == (n_classes,)
 
 
+# Day keys of every pinned model: a longer grid than the series' four days,
+# hit exactly by two of them, so ``date_lookup`` (nearest key, rows 1, 8, 15
+# and 24) and ``static`` (rows 0-3 of a four-row table) read different rows.
+PIN_DAY_KEYS = np.arange(0, 365, 10)
+
 # Per variant of a float64 toy model (fixed seed, series and labels): the
 # logits' sum, their absolute sum, and the global gradient norm after one
-# loss backward. Pinned from the model code at commit 7cc0c72; a change that
-# moves one beyond rtol 1e-9 changes the numerics, not just the wiring.
+# loss backward, as variant_summary computes them. A change that moves one
+# beyond rtol 1e-9 changes the numerics, not just the wiring.
 VARIANT_PINS = {
     ("temporal_first", "per_class", "date_lookup", "blocked", "segmentation"):
-        (0.01933301970284654, 0.05397760028002445, 0.3286773826026591),
+        (-0.41624004124196734, 1.241824576751266, 1.4288823771469292),
     ("temporal_first", "per_class", "date_lookup", "blocked", "classification"):
-        (0.0004071053059247692, 0.0017117906940644356, 0.7642064012173452),
+        (0.08848549905986057, 0.17110690535890183, 6.004670173170629),
     ("temporal_first", "per_class", "date_lookup", "full", "segmentation"):
-        (0.02003308817163466, 0.05352879449234648, 0.32867642389989044),
+        (-0.41519503776403244, 1.2419488466366961, 1.4289494634922684),
     ("temporal_first", "per_class", "date_lookup", "full", "classification"):
-        (0.00042757019121446185, 0.0016430252734932365, 0.7641635903893075),
+        (0.08233238997001192, 0.1831272647107225, 5.590851846465819),
     ("temporal_first", "per_class", "static", "blocked", "segmentation"):
-        (0.01933301970284654, 0.05397760028002445, 0.3286773826026591),
+        (1.096589903906298, 1.8275972285892585, 1.1755377313556705),
     ("temporal_first", "per_class", "static", "blocked", "classification"):
-        (0.0004071053059247692, 0.0017117906940644356, 0.7642064012173452),
+        (0.014825249650232353, 0.08588344311350672, 3.07455599590238),
     ("temporal_first", "per_class", "static", "full", "segmentation"):
-        (0.020033088171634662, 0.05352879449234648, 0.32867642389989044),
+        (1.0976895421597057, 1.8285529504183569, 1.1756441885526931),
     ("temporal_first", "per_class", "static", "full", "classification"):
-        (0.00042757019121446185, 0.0016430252734932365, 0.7641635903893075),
+        (0.016513251627726107, 0.08082783180604863, 3.1345525364892746),
     ("temporal_first", "single", "date_lookup", "blocked", "segmentation"):
-        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
+        (0.2565032866512404, 2.2375788218416153, 1.2077225974335892),
     ("temporal_first", "single", "date_lookup", "blocked", "classification"):
-        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
+        (-0.09532531581733097, 0.1473975274760704, 4.069143169142656),
     ("temporal_first", "single", "date_lookup", "full", "segmentation"):
-        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
+        (0.2565032866512404, 2.2375788218416153, 1.2077225974335892),
     ("temporal_first", "single", "date_lookup", "full", "classification"):
-        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
+        (-0.09532531581733097, 0.1473975274760704, 4.069143169142656),
     ("temporal_first", "single", "static", "blocked", "segmentation"):
-        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
+        (0.6106465061724813, 2.424911475718301, 1.6052921591331657),
     ("temporal_first", "single", "static", "blocked", "classification"):
-        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
+        (0.04092704035389231, 0.1218011113369368, 3.1209732687294833),
     ("temporal_first", "single", "static", "full", "segmentation"):
-        (0.013463347050792246, 0.06062468770748015, 0.33033761784863713),
+        (0.6106465061724813, 2.424911475718301, 1.6052921591331657),
     ("temporal_first", "single", "static", "full", "classification"):
-        (0.0011658662061615334, 0.00270110456890585, 0.764648879185847),
+        (0.04092704035389231, 0.1218011113369368, 3.1209732687294833),
     ("spatial_first", "per_class", "date_lookup", "blocked", "segmentation"):
-        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
+        (-0.39370838570488975, 1.2249786983610453, 1.4091046905735016),
     ("spatial_first", "per_class", "date_lookup", "blocked", "classification"):
-        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
+        (-0.14303753466339902, 0.14303753466339902, 3.3676073708273244),
     ("spatial_first", "per_class", "date_lookup", "full", "segmentation"):
-        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
+        (-0.39370838570488975, 1.2249786983610453, 1.4091046905735016),
     ("spatial_first", "per_class", "date_lookup", "full", "classification"):
-        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
+        (-0.14303753466339902, 0.14303753466339902, 3.3676073708273244),
     ("spatial_first", "per_class", "static", "blocked", "segmentation"):
-        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
+        (1.0973961672157984, 1.8205269035806526, 1.1668051200454994),
     ("spatial_first", "per_class", "static", "blocked", "classification"):
-        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
+        (0.0682205402807089, 0.13692427692684983, 3.1230703686172427),
     ("spatial_first", "per_class", "static", "full", "segmentation"):
-        (0.022821024817046044, 0.04902682005952696, 0.32764212905893275),
+        (1.0973961672157984, 1.8205269035806526, 1.1668051200454994),
     ("spatial_first", "per_class", "static", "full", "classification"):
-        (0.0012278325315522112, 0.002451995078492214, 0.7650194002142918),
+        (0.0682205402807089, 0.13692427692684983, 3.1230703686172427),
     ("spatial_first", "single", "date_lookup", "blocked", "segmentation"):
-        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
+        (0.2481435669694761, 2.180395579601903, 1.1975603938106227),
     ("spatial_first", "single", "date_lookup", "blocked", "classification"):
-        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
+        (-0.006951175116611001, 0.03337754432986921, 3.776849742736757),
     ("spatial_first", "single", "date_lookup", "full", "segmentation"):
-        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
+        (0.2481435669694761, 2.180395579601903, 1.1975603938106227),
     ("spatial_first", "single", "date_lookup", "full", "classification"):
-        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
+        (-0.006951175116611001, 0.03337754432986921, 3.776849742736757),
     ("spatial_first", "single", "static", "blocked", "segmentation"):
-        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
+        (0.6105564565302906, 2.4103153829490527, 1.6061116132803825),
     ("spatial_first", "single", "static", "blocked", "classification"):
-        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
+        (0.14295805308623658, 0.14295805308623658, 3.7934680144429356),
     ("spatial_first", "single", "static", "full", "segmentation"):
-        (0.014490130838158236, 0.05980837409248719, 0.32886057329485574),
+        (0.6105564565302906, 2.4103153829490527, 1.6061116132803825),
     ("spatial_first", "single", "static", "full", "classification"):
-        (0.0038706583422743915, 0.0038706583422743915, 0.7669259972070495),
+        (0.14295805308623658, 0.14295805308623658, 3.7934680144429356),
 }
 
 
-@pytest.mark.parametrize("variant", list(VARIANT_PINS),
-                         ids=["-".join(v) for v in VARIANT_PINS])
-def test_variant_logits_and_gradients_are_pinned(variant):
+def variant_summary(variant):
+    """The pinned figures of one variant, computed from the code as it is."""
     factorization, cls_mode, pe_mode, cls_interactions, task = variant
     cfg = m.ModelConfig(**TOY, factorization=factorization, cls_mode=cls_mode,
                         pe_mode=pe_mode, cls_interactions=cls_interactions,
@@ -384,7 +388,8 @@ def test_variant_logits_and_gradients_are_pinned(variant):
     rng = np.random.default_rng(5)
     values = rng.standard_normal(cfg.input_shape)
     dates = np.array([12, 80, 151, 240])
-    model = m.SitsFormer(cfg, temporal_keys=dates, seed=3, dtype=np.float64)
+    model = m.SitsFormer(cfg, temporal_keys=PIN_DAY_KEYS, seed=3,
+                         dtype=np.float64)
     logits = m.forward(SitsSeries(values, dates), model)
     if task == "segmentation":
         labels = rng.integers(0, cfg.n_classes + 1, size=logits.shape[:-1])
@@ -393,9 +398,22 @@ def test_variant_logits_and_gradients_are_pinned(variant):
         loss = focal_loss(logits, 1)
     backward(loss)
     grads = [p.grad for p in model.parameters() if p.grad is not None]
-    got = (float(logits.data.sum()), float(np.abs(logits.data).sum()),
-           float(np.sqrt(sum((g * g).sum() for g in grads))))
-    np.testing.assert_allclose(got, VARIANT_PINS[variant], rtol=1e-9)
+    return (float(logits.data.sum()), float(np.abs(logits.data).sum()),
+            float(np.sqrt(sum((g * g).sum() for g in grads))))
+
+
+@pytest.mark.parametrize("variant", list(VARIANT_PINS),
+                         ids=["-".join(v) for v in VARIANT_PINS])
+def test_variant_logits_and_gradients_are_pinned(variant):
+    np.testing.assert_allclose(variant_summary(variant), VARIANT_PINS[variant],
+                               rtol=1e-9)
+
+
+def test_static_and_date_lookup_pins_differ():
+    for variant, pins in VARIANT_PINS.items():
+        if variant[2] == "static":
+            twin = variant[:2] + ("date_lookup",) + variant[3:]
+            assert pins != VARIANT_PINS[twin], variant
 
 
 class TestCheckpoint:

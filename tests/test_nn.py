@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sitsformer import nn
+from sitsformer import tensor as T
 from sitsformer.errors import ConfigError, ShapeError
 from sitsformer.tensor import Tensor
 
@@ -87,9 +88,10 @@ class TestBlock:
     def test_two_blocks_equal_depth_two_encoder(self):
         enc = make_encoder(dim=8, depth=2, seed=15)
         z = random_tokens((2, 4, 8), seed=16)
-        manual = nn.transformer_block(
+        blocks = nn.transformer_block(
             nn.transformer_block(z, enc.blocks[0]), enc.blocks[1]
         )
+        manual = T.layer_norm(blocks, enc.norm.gamma, enc.norm.beta)
         stacked = nn.encoder_forward(z, enc)
         np.testing.assert_array_equal(manual.data, stacked.data)
 
@@ -100,6 +102,21 @@ class TestEncoder:
         z = random_tokens((2, 3, 8), seed=17)
         out = nn.encoder_forward(z, enc)
         np.testing.assert_array_equal(out.data, z.data)
+
+    def test_final_norm_is_parameter_free(self):
+        enc = make_encoder(dim=8, depth=1, seed=25)
+        out = nn.encoder_forward(random_tokens((2, 5, 8), seed=26), enc).data
+        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
+        np.testing.assert_allclose(out.var(axis=-1), 1.0, rtol=1e-3)
+        assert not enc.norm.gamma.requires_grad
+        assert not enc.norm.beta.requires_grad
+
+    def test_keep_normalises_only_the_leading_tokens(self):
+        enc = make_encoder(dim=8, depth=2, seed=27)
+        z = random_tokens((3, 6, 8), seed=28)
+        kept = nn.encoder_forward(z, enc, keep=2)
+        np.testing.assert_array_equal(kept.data,
+                                      nn.encoder_forward(z, enc).data[:, :2])
 
     def test_parameter_count_formula(self):
         # Per block at mlp_ratio 4: attention 4(d^2+d), mlp 8d^2+5d, norms 4d.

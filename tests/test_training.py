@@ -14,7 +14,7 @@ from sitsformer.errors import (
 )
 from sitsformer.metrics import ConfusionMatrix, metrics
 from sitsformer.model import ModelConfig, SitsFormer, load_checkpoint
-from sitsformer.tensor import Tensor, backward
+from sitsformer.tensor import Tensor, active_tape, backward
 
 from _gradcheck import check_gradients
 
@@ -143,6 +143,41 @@ class TestAdamW:
             return p.data
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_gradient_above_the_limit_is_scaled_to_it(self):
+        # Adam is blind to one scale for every step, so a second step whose
+        # gradient is within the limit is what shows the first was clipped.
+        def run(steps, clip):
+            rng = np.random.default_rng(9)
+            params = [Tensor(rng.standard_normal(n), requires_grad=True,
+                             dtype=np.float64) for n in (3, 4)]
+            state = tr.AdamWState(params)
+            for grads in steps:
+                for p, g in zip(params, grads):
+                    p.grad = g.copy()
+                if clip:
+                    tr.clip_grad_norm(params)
+                tr.adamw_step(params, state, lr=0.01)
+            return np.concatenate([p.data for p in params])
+
+        def scaled(norm, seed):
+            rng = np.random.default_rng(seed)
+            grads = [rng.standard_normal(3), rng.standard_normal(4)]
+            now = math.sqrt(sum(float((g * g).sum()) for g in grads))
+            return [g * (norm / now) for g in grads]
+
+        long, unit, short = (scaled(5.0, 10), scaled(tr.GRAD_CLIP_NORM, 10),
+                             scaled(0.5, 11))
+        np.testing.assert_allclose(run([long, short], clip=True),
+                                   run([unit, short], clip=False), rtol=1e-12)
+        assert not np.allclose(run([long, short], clip=False),
+                               run([unit, short], clip=False), rtol=1e-4)
+
+    def test_gradient_within_the_limit_is_untouched(self):
+        p = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
+        p.grad = np.array([0.6, 0.8])
+        assert tr.clip_grad_norm([p]) == 1.0
+        np.testing.assert_array_equal(p.grad, [0.6, 0.8])
 
     def test_mismatched_params(self):
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -346,6 +381,47 @@ class TestTrainLoop:
             tr.train_loop(model, records, tr.TrainConfig(**TINY_TRAIN),
                           tmp_path / "log.csv", tmp_path / "ckpt")
         assert err.value.step == 1
+
+    def test_non_finite_gradient_aborts_before_any_update(self, tmp_path,
+                                                          monkeypatch):
+        model, records = tiny_setup()
+        before = [p.data.copy() for p in model.parameters()]
+
+        def backward_then_poison(loss):
+            backward(loss)
+            model.head_bias.grad[...] = np.inf
+
+        monkeypatch.setattr(tr, "backward", backward_then_poison)
+        with pytest.raises(TrainingDiverged) as err:
+            tr.train_loop(model, records, tr.TrainConfig(**TINY_TRAIN),
+                          tmp_path / "log.csv", tmp_path / "ckpt")
+        assert err.value.step == 1
+        assert all(math.isfinite(v) for v in err.value.loss_history)
+        for p, old in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old)
+
+    def test_tape_is_freed_per_sample(self, tmp_path, monkeypatch):
+        # One sample's tape is alive at a time: backward runs once per
+        # sample, leaves the tape empty, and never sees more entries at
+        # batch size 4 than at batch size 1.
+        def longest_tape(batch_size):
+            seen = []
+
+            def recording_backward(loss):
+                seen.append(len(active_tape()))
+                backward(loss)
+                assert len(active_tape()) == 0
+
+            monkeypatch.setattr(tr, "backward", recording_backward)
+            model, records = tiny_setup()
+            cfg = tr.TrainConfig(**{**TINY_TRAIN, "epochs": 3,
+                                    "batch_size": batch_size})
+            tr.train_loop(model, records, cfg, tmp_path / f"{batch_size}.csv",
+                          tmp_path / f"{batch_size}.ckpt")
+            assert len(seen) == 3 * len(records)
+            return max(seen)
+
+        assert longest_tape(4) == longest_tape(1) > 0
 
     def test_empty_dataset_rejected(self, tmp_path):
         model, _ = tiny_setup()
