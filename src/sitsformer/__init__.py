@@ -20,7 +20,6 @@ from .data import (
     write_sample,
 )
 from .embedding import (
-    SpatialPositionTable,
     TemporalPositionTable,
     tokenize_sits,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "SitsRecord",
     "SitsSeries",
     "SitsformerError",
-    "SpatialPositionTable",
     "TemporalPositionTable",
     "Tensor",
     "TrainConfig",

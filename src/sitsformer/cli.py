@@ -167,8 +167,8 @@ def _cmd_generate(args) -> int:
         args.out,
         n_samples=args.n_samples,
         n_classes=args.n_classes,
-        grid=tuple(args.grid),
-        t_range=tuple(args.t_range),
+        grid=args.grid,
+        t_range=args.t_range,
         seed=args.seed,
         channels=args.channels,
         noise_std=args.noise_std,
@@ -266,8 +266,15 @@ def _cmd_ablate(args) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",")]
+def _int_pair(text):
+    """``"A,B"`` as two ints; anything else is an argparse usage error."""
+    try:
+        a, b = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated ints, got {text!r}"
+        ) from None
+    return a, b
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--n-samples", type=int, required=True)
     gen.add_argument("--n-classes", type=int, required=True)
-    gen.add_argument("--grid", type=_int_list, default=[8, 8])
-    gen.add_argument("--t-range", type=_int_list, default=[16, 24])
+    gen.add_argument("--grid", type=_int_pair, default=(8, 8))
+    gen.add_argument("--t-range", type=_int_pair, default=(16, 24))
     gen.add_argument("--channels", type=int, default=3)
     gen.add_argument("--noise-std", type=float, default=0.05)
     gen.add_argument("--cloud-prob", type=float, default=0.05)

@@ -448,6 +448,8 @@ def generate_synthetic_dataset(directory, n_samples: int, n_classes: int,
         raise ConfigError("need at least two classes")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     specs = default_class_specs(n_classes, channels, noise_std, cloud_prob)
     os.makedirs(directory, exist_ok=True)
     n_train, n_val, n_test = _split_sizes(n_samples)

@@ -8,7 +8,7 @@ table keyed by acquisition day rather than by sequence index.
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .nn import Affine, trunc_normal
 from .tensor import (
     DEFAULT_DTYPE,
@@ -25,25 +25,14 @@ def tokenize_sits(values: Tensor, patch, embed: Affine) -> Tensor:
     """Cut (T, H, W, C) into patches and project each to the model width.
 
     Returns a (N_T, N_H, N_W, d) grid in (time, row, col) order. Frames
-    beyond N_T * t are dropped; H and W must divide evenly.
+    beyond N_T * t are dropped. ``ModelConfig`` and ``check_series`` fix the
+    shapes; a frame the patch does not divide fails in ``reshape``.
     """
     if not isinstance(values, Tensor):
         values = Tensor(values)
-    if values.ndim != 4:
-        raise ShapeError(f"expected (T, H, W, C) input, got {values.shape}")
     t, h, w = patch
     T, H, W, C = values.shape
-    if H % h != 0 or W % w != 0:
-        raise ConfigError(
-            f"patch ({h}, {w}) must divide the frame evenly: H={H} mod {h} = "
-            f"{H % h}, W={W} mod {w} = {W % w}"
-        )
     flat = t * h * w * C
-    if embed.weight.shape[0] != flat:
-        raise ShapeError(
-            f"embedding expects {embed.weight.shape[0]} inputs, "
-            f"patch flattens to {flat}"
-        )
     n_t, n_h, n_w = T // t, H // h, W // w
     if n_t * t != T:
         values = getitem(values, slice(0, n_t * t))
@@ -86,16 +75,6 @@ class TemporalPositionTable:
 
     def __call__(self, dates) -> Tensor:
         return getitem(self.table, self.row_indices(dates))
-
-
-class SpatialPositionTable:
-    """One learned row per token-grid location, added before spatial attention."""
-
-    def __init__(self, n_locations: int, dim: int, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
-        if n_locations < 1:
-            raise ConfigError("spatial position table needs at least one location")
-        self.table = trunc_normal(rng, (n_locations, dim), dtype)
 
 
 class ClsTokenBank:

@@ -59,6 +59,15 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
+def _per_class(cm: ConfusionMatrix):
+    """Per-class float64 (true positive, reference, union) pixel counts."""
+    counts = cm.counts
+    tp = np.diag(counts).astype(np.float64)
+    ref = counts.sum(axis=1).astype(np.float64)
+    pred = counts.sum(axis=0).astype(np.float64)
+    return tp, ref, ref + pred - tp
+
+
 def metrics(cm: ConfusionMatrix):
     """Return (overall accuracy, mean IoU, mean per-class recall).
 
@@ -66,18 +75,14 @@ def metrics(cm: ConfusionMatrix):
     IoU average; classes with no reference pixels are left out of the recall
     average. This keeps degenerate 0/0 ratios from polluting the means.
     """
-    counts = cm.counts
-    total = counts.sum()
+    total = cm.counts.sum()
     if total == 0:
         raise MetricError("confusion matrix is empty, no metrics defined")
-    tp = np.diag(counts).astype(np.float64)
-    ref = counts.sum(axis=1).astype(np.float64)
-    pred = counts.sum(axis=0).astype(np.float64)
+    tp, ref, union = _per_class(cm)
 
     oa = float(tp.sum() / total)
 
-    present = (ref + pred) > 0
-    union = ref + pred - tp
+    present = union > 0
     iou = np.zeros_like(tp)
     iou[present] = tp[present] / union[present]
     miou = float(iou[present].mean())
@@ -92,11 +97,7 @@ def metrics(cm: ConfusionMatrix):
 
 def per_class_table(cm: ConfusionMatrix):
     """Per-class (reference count, IoU or nan, recall or nan) rows."""
-    counts = cm.counts
-    tp = np.diag(counts).astype(np.float64)
-    ref = counts.sum(axis=1).astype(np.float64)
-    pred = counts.sum(axis=0).astype(np.float64)
-    union = ref + pred - tp
+    tp, ref, union = _per_class(cm)
     rows = []
     for k in range(cm.n_classes):
         iou = tp[k] / union[k] if union[k] > 0 else float("nan")

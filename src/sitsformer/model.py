@@ -25,7 +25,6 @@ from . import container, nn
 from .data import SitsSeries
 from .embedding import (
     ClsTokenBank,
-    SpatialPositionTable,
     TemporalPositionTable,
     build_spatial_input,
     build_temporal_input,
@@ -78,6 +77,11 @@ class ModelConfig:
         )
         if self.n_classes < 1:
             raise ConfigError(f"n_classes must be positive, got {self.n_classes}")
+        if self.n_heads < 1 or self.mlp_ratio < 1:
+            raise ConfigError(
+                f"n_heads and mlp_ratio must be positive, got {self.n_heads} "
+                f"and {self.mlp_ratio}"
+            )
         if self.dim < 1 or self.dim % self.n_heads != 0:
             raise ConfigError(
                 f"dim {self.dim} must be a positive multiple of n_heads "
@@ -173,7 +177,7 @@ class SitsFormer:
     _PARAMETER_PREFIXES = (
         ("embed", "embed"),
         ("pe_temporal", "temporal_pe"),
-        ("pe_spatial", "spatial_pe"),
+        ("pe_spatial.table", "spatial_pe"),
         ("cls", "cls"),
         ("temporal", "temporal_encoder.blocks"),
         ("spatial", "spatial_encoder.blocks"),
@@ -191,7 +195,7 @@ class SitsFormer:
         d = config.dim
         self.embed = Affine(config.patch_flat, d, rng, dtype)
         self.temporal_pe = TemporalPositionTable(temporal_keys, d, rng, dtype)
-        self.spatial_pe = SpatialPositionTable(config.n_locations, d, rng, dtype)
+        self.spatial_pe = trunc_normal(rng, (config.n_locations, d), dtype)
         self.cls = ClsTokenBank(config.n_streams, d, rng, dtype)
         self.temporal_encoder = EncoderWeights(
             d, config.depth_temporal, config.n_heads, config.mlp_ratio, rng, dtype
@@ -244,7 +248,7 @@ def temporal_encode(series: SitsSeries, model: SitsFormer) -> Tensor:
     if cfg.factorization == "spatial_first":
         n_t, gh, gw, d = grid.shape
         x = reshape(grid, (n_t, gh * gw, d))
-        x = x + reshape(model.spatial_pe.table, (1, gh * gw, d))
+        x = x + reshape(model.spatial_pe, (1, gh * gw, d))
         x = encoder_forward(x, model.spatial_encoder)
         grid = reshape(x, (n_t, gh, gw, d))
     pe = model.temporal_pe(model._temporal_query(series.dates))
@@ -261,7 +265,7 @@ def spatial_encode(z: Tensor, model: SitsFormer):
     all streams into one joint sequence.
     """
     cfg = model.config
-    zs = build_spatial_input(z, model.spatial_pe.table, model.cls.spatial)
+    zs = build_spatial_input(z, model.spatial_pe, model.cls.spatial)
     s, n, d = zs.shape
     if cfg.cls_interactions == "full":
         zs = reshape(zs, (1, s * n, d))

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
 from .tensor import DEFAULT_DTYPE, Tensor
 
 INIT_STD = 0.02
@@ -63,13 +62,13 @@ class Affine:
 
 
 class MSAWeights:
-    """Query/key/value/output projections for multi-headed self-attention."""
+    """Query/key/value/output projections for multi-headed self-attention.
+
+    ``heads`` must divide ``dim``; ``ModelConfig`` is the gate for that.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  dtype=DEFAULT_DTYPE):
-        if dim % heads != 0:
-            raise ConfigError(f"dim {dim} not divisible by heads {heads}")
-        self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
         self.q = Affine(dim, dim, rng, dtype)
@@ -119,17 +118,9 @@ class EncoderWeights:
 
     def __init__(self, dim: int, depth: int, heads: int, mlp_ratio: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
-        self.dim = dim
         self.blocks = [BlockWeights(dim, heads, mlp_ratio, rng, dtype)
                        for _ in range(depth)]
         self.norm = NormWeights(dim, dtype, trainable=False)
-
-
-def _check_tokens(z: Tensor, dim: int, who: str) -> None:
-    if z.ndim != 3 or z.shape[-1] != dim:
-        raise ShapeError(
-            f"{who} expects (batch, tokens, {dim}), got shape {z.shape}"
-        )
 
 
 def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False):
@@ -139,7 +130,6 @@ def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False):
     and pass through the output projection. Shape (B, n, d) is preserved.
     With ``return_attn`` the (B, heads, n, n) attention rows come back too.
     """
-    _check_tokens(z, w.dim, "msa_forward")
     b, n, d = z.shape
     h, dh = w.heads, w.head_dim
 
@@ -174,7 +164,6 @@ def encoder_forward(z: Tensor, w: EncoderWeights,
     The final norm is per token, so a caller that reads only the leading
     tokens passes ``keep`` and the others are never normalised.
     """
-    _check_tokens(z, w.dim, "encoder_forward")
     for block in w.blocks:
         z = transformer_block(z, block)
     if keep is not None:

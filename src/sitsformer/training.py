@@ -209,6 +209,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.warmup_epochs < 0 or self.seed < 0:
+            raise ConfigError(
+                f"warmup_epochs and seed must be non-negative, got "
+                f"{self.warmup_epochs} and {self.seed}"
+            )
 
 
 def _sample_loss_and_prediction(record, model: SitsFormer, cfg: TrainConfig,

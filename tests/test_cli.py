@@ -289,6 +289,35 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, line):
     assert f"{key}={value!r}" in err
 
 
+GENERATE_ARGS = ["generate", "--n-samples", "2", "--n-classes", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "n_heads=0"],
+    ["train", "n_heads=-2"],
+    ["train", "mlp_ratio=-1"],
+    ["train", "warmup_epochs=-1"],
+    ["train", "seed=-1"],
+    ["train", "--seed", "-1"],
+    GENERATE_ARGS + ["--grid", "4"],
+    GENERATE_ARGS + ["--t-range", "4"],
+    GENERATE_ARGS + ["--seed", "-1"],
+], ids=" ".join)
+def test_bad_value_exits_2_at_its_gate(dataset, tmp_path, capsys, argv):
+    """``key=value`` items are run.cfg lines; the rest are flags."""
+    if argv[0] == "train":
+        lines = dict(a.split("=") for a in argv if "=" in a)
+        cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "o",
+                         **lines)
+        argv = [a for a in argv if "=" not in a] + ["--config", cfg]
+    else:
+        argv = argv + ["--out", str(tmp_path / "g")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") or "usage:" in err
+
+
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"data_dir=\xff\nout_dir=y\n")

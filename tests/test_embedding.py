@@ -77,10 +77,10 @@ class TestTokenize:
         expected = np.broadcast_to(np.arange(6, dtype=np.float32), (2, 2, 2, 6))
         np.testing.assert_array_equal(grid.data, expected)
 
-    def test_indivisible_frame_names_dims(self):
+    def test_indivisible_frame_fails_in_reshape(self):
         x = Tensor(np.zeros((2, 10, 9, 3), dtype=np.float32))
         aff = Affine(4 * 4 * 3, 6, np.random.default_rng(4))
-        with pytest.raises(ConfigError, match=r"W=9 mod 4"):
+        with pytest.raises(ShapeError, match="cannot reshape"):
             emb.tokenize_sits(x, (1, 4, 4), aff)
 
     def test_temporal_patch_groups_frames(self):

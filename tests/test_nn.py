@@ -5,7 +5,7 @@ import pytest
 
 from sitsformer import nn
 from sitsformer import tensor as T
-from sitsformer.errors import ConfigError, ShapeError
+from sitsformer.errors import ShapeError
 from sitsformer.tensor import Tensor
 
 from _gradcheck import check_gradients
@@ -22,9 +22,10 @@ def random_tokens(shape, seed=0, dtype=np.float32):
 
 
 class TestMSA:
-    def test_dim_not_divisible_by_heads(self):
-        with pytest.raises(ConfigError):
-            nn.MSAWeights(10, 3, np.random.default_rng(0))
+    def test_dim_not_divisible_by_heads_fails_at_first_use(self):
+        w = nn.MSAWeights(10, 3, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            nn.msa_forward(random_tokens((1, 4, 10)), w)
 
     def test_single_token_attention_weight_is_one(self):
         w = nn.MSAWeights(8, 2, np.random.default_rng(1))
