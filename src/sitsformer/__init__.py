@@ -55,7 +55,6 @@ from .nn import (
 from .tensor import Tensor, backward, no_grad
 from .training import (
     AdamWState,
-    LRSchedule,
     TrainConfig,
     adamw_step,
     evaluate,
@@ -76,7 +75,6 @@ __all__ = [
     "DatasetManifest",
     "EncoderWeights",
     "FormatError",
-    "LRSchedule",
     "MSAWeights",
     "MetricError",
     "ModelConfig",

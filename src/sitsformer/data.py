@@ -268,7 +268,7 @@ def _partition_parcels(rng, height: int, width: int,
     return labels
 
 
-def generate_sample(index: int, seed: int, specs, grid=(8, 8), t_range=(16, 24),
+def generate_sample(index: int, seed: int, specs, grid=(8, 8), t_range=(16, 16),
                     date_step: int = 1, season_span=None) -> SitsRecord:
     """One synthetic record, a pure function of (seed, index).
 
@@ -439,7 +439,7 @@ def _split_sizes(n: int) -> tuple:
 
 
 def generate_synthetic_dataset(directory, n_samples: int, n_classes: int,
-                               grid=(8, 8), t_range=(16, 24), seed: int = 0,
+                               grid=(8, 8), t_range=(16, 16), seed: int = 0,
                                channels: int = 3, noise_std: float = 0.05,
                                cloud_prob: float = 0.05, date_step: int = 1,
                                season_span=None) -> DatasetManifest:
@@ -450,6 +450,8 @@ def generate_synthetic_dataset(directory, n_samples: int, n_classes: int,
         raise ConfigError("need at least one sample")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    if channels < 1:
+        raise ConfigError(f"channels must be positive, got {channels}")
     specs = default_class_specs(n_classes, channels, noise_std, cloud_prob)
     os.makedirs(directory, exist_ok=True)
     n_train, n_val, n_test = _split_sizes(n_samples)

@@ -11,7 +11,7 @@ resumed run continues the uninterrupted one exactly.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def masked_cross_entropy(logits: Tensor, labels, ignore_label) -> Tensor:
     return masked.sum() * (1.0 / count)
 
 
-def focal_loss(logits: Tensor, label: int, gamma: float = 2.0) -> Tensor:
+def focal_loss(logits: Tensor, label: int, gamma: float) -> Tensor:
     """Cross-entropy scaled by (1 - p_label)^gamma; gamma=0 is plain CE."""
     label = int(label)
     n_classes = logits.shape[-1]
@@ -98,15 +98,15 @@ def focal_loss(logits: Tensor, label: int, gamma: float = 2.0) -> Tensor:
 class AdamWState:
     """First/second moment buffers plus the shared step counter."""
 
-    def __init__(self, params, weight_decay: float = 0.01):
+    def __init__(self, params):
         params = list(params)
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.step_count = 0
-        self.weight_decay = weight_decay
 
 
-def adamw_step(params, state: AdamWState, lr: float) -> None:
+def adamw_step(params, state: AdamWState, lr: float,
+               weight_decay: float) -> None:
     """One bias-corrected Adam update with decoupled decay, in place."""
     params = list(params)
     if len(params) != len(state.m):
@@ -127,7 +127,7 @@ def adamw_step(params, state: AdamWState, lr: float) -> None:
         m[...] = b1 * m + (1.0 - b1) * g
         v[...] = b2 * v + (1.0 - b2) * (g * g)
         update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        p.data[...] -= lr * (update + state.weight_decay * p.data)
+        p.data[...] -= lr * (update + weight_decay * p.data)
 
 
 def clip_grad_norm(params) -> float:
@@ -145,58 +145,13 @@ def clip_grad_norm(params) -> float:
     return norm
 
 
-# -- schedule -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LRSchedule:
-    """Linear 0 -> peak over the warmup, then half-cosine peak -> floor."""
-
-    total_epochs: int
-    steps_per_epoch: int
-    warmup_epochs: int = 10
-    peak: float = 1e-3
-    floor: float = 5e-6
-
-    def __post_init__(self):
-        if self.total_epochs <= self.warmup_epochs:
-            raise ConfigError(
-                f"total_epochs {self.total_epochs} must exceed warmup "
-                f"{self.warmup_epochs}"
-            )
-        if self.steps_per_epoch < 1:
-            raise ConfigError("steps_per_epoch must be positive")
-
-    @property
-    def warmup_steps(self) -> int:
-        return self.warmup_epochs * self.steps_per_epoch
-
-    @property
-    def total_steps(self) -> int:
-        return self.total_epochs * self.steps_per_epoch
-
-
-def lr_at_step(schedule: LRSchedule, global_step: int) -> float:
-    step = max(0, int(global_step))
-    if step <= schedule.warmup_steps:
-        if schedule.warmup_steps == 0:
-            return schedule.peak
-        return schedule.peak * step / schedule.warmup_steps
-    if step >= schedule.total_steps:
-        return schedule.floor
-    tau = (step - schedule.warmup_steps) / (
-        schedule.total_steps - schedule.warmup_steps
-    )
-    return schedule.floor + 0.5 * (schedule.peak - schedule.floor) * (
-        1.0 + math.cos(math.pi * tau)
-    )
-
-
-# -- loops ----------------------------------------------------------------------
+# -- recipe ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training recipe; every value is checked here, once."""
+
     epochs: int = 100
     batch_size: int = 16
     warmup_epochs: int = 10
@@ -214,6 +169,42 @@ class TrainConfig:
                 f"warmup_epochs and seed must be non-negative, got "
                 f"{self.warmup_epochs} and {self.seed}"
             )
+        if self.warmup_epochs >= self.epochs:
+            raise ConfigError(
+                f"warmup_epochs {self.warmup_epochs} must be below epochs "
+                f"{self.epochs}"
+            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{f.name} must be finite and non-negative, got {value}"
+                )
+        if self.floor_lr > self.peak_lr:
+            raise ConfigError(
+                f"floor_lr {self.floor_lr} exceeds peak_lr {self.peak_lr}"
+            )
+
+
+def lr_at_step(cfg: TrainConfig, steps_per_epoch: int,
+               global_step: int) -> float:
+    """Linear 0 -> peak_lr over the warmup, then half-cosine to floor_lr."""
+    warmup_steps = cfg.warmup_epochs * steps_per_epoch
+    total_steps = cfg.epochs * steps_per_epoch
+    step = max(0, int(global_step))
+    if step <= warmup_steps:
+        if warmup_steps == 0:
+            return cfg.peak_lr
+        return cfg.peak_lr * step / warmup_steps
+    if step >= total_steps:
+        return cfg.floor_lr
+    tau = (step - warmup_steps) / (total_steps - warmup_steps)
+    return cfg.floor_lr + 0.5 * (cfg.peak_lr - cfg.floor_lr) * (
+        1.0 + math.cos(math.pi * tau)
+    )
+
+
+# -- loops ----------------------------------------------------------------------
 
 
 def _sample_loss_and_prediction(record, model: SitsFormer, cfg: TrainConfig,
@@ -258,15 +249,8 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         raise DataError("training requires at least one sample")
     ignore_label = model.config.n_classes
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
-    schedule = LRSchedule(
-        total_epochs=cfg.epochs,
-        steps_per_epoch=steps_per_epoch,
-        warmup_epochs=cfg.warmup_epochs,
-        peak=cfg.peak_lr,
-        floor=cfg.floor_lr,
-    )
     params = model.parameters()
-    opt = AdamWState(params, weight_decay=cfg.weight_decay)
+    opt = AdamWState(params)
     start_epoch = 1
     global_step = 0
     best_miou = -1.0
@@ -305,12 +289,12 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
             recent_losses.append(loss_value)
             del recent_losses[:-20]
             global_step += 1
-            lr = lr_at_step(schedule, global_step)
+            lr = lr_at_step(cfg, steps_per_epoch, global_step)
             grad_norm = clip_grad_norm(params)
             if not (math.isfinite(loss_value) and math.isfinite(grad_norm)):
                 raise TrainingDiverged(global_step, lr, recent_losses,
                                        grad_norm)
-            adamw_step(params, opt, lr)
+            adamw_step(params, opt, lr, cfg.weight_decay)
             epoch_losses.append(loss_value)
         oa, miou, _ = metrics(cm)
         mean_loss = float(np.mean(epoch_losses))

@@ -55,10 +55,10 @@ def write_state(path):
     """One AdamW step on constant gradients, so the moments are not zero."""
     model = toy_model()
     params = model.parameters()
-    opt = AdamWState(params, weight_decay=0.01)
+    opt = AdamWState(params)
     for i, p in enumerate(params):
         p.grad = np.full_like(p.data, 0.25 * (i + 1))
-    adamw_step(params, opt, lr=1e-3)
+    adamw_step(params, opt, lr=1e-3, weight_decay=0.01)
     save_training_state(path, model, opt, 3, 7, 0.1 + 0.2)
 
 
@@ -91,7 +91,7 @@ def write_pinned_files():
                                         ("a", "b", "c"), 99))
     write_resolved_config(RunConfig(
         ModelConfig(**{**TOY, "task": "classification", "cls_mode": "single"}),
-        TrainConfig(epochs=7, peak_lr=3e-3, floor_lr=1e-7, weight_decay=0.05,
-                    focal_gamma=1.5, seed=9),
+        TrainConfig(epochs=7, warmup_epochs=2, peak_lr=3e-3, floor_lr=1e-7,
+                    weight_decay=0.05, focal_gamma=1.5, seed=9),
         "data", "run",
     ))

@@ -36,7 +36,6 @@ from sitsformer.model import (
 )
 from sitsformer.tensor import Tensor, backward
 from sitsformer.training import (
-    LRSchedule,
     TrainConfig,
     evaluate,
     focal_loss,
@@ -102,12 +101,12 @@ def test_parameter_budget():
 
 @criterion(2, "schedule pins")
 def test_schedule_pins():
-    sched = LRSchedule(total_epochs=100, steps_per_epoch=37,
-                       warmup_epochs=10, peak=1e-3, floor=5e-6)
-    assert lr_at_step(sched, 0) == 0.0
-    assert lr_at_step(sched, 10 * 37) == 1e-3
-    assert lr_at_step(sched, 100 * 37) == 5e-6
-    assert lr_at_step(sched, 100 * 37 + 50) == 5e-6
+    cfg = TrainConfig(epochs=100, warmup_epochs=10, peak_lr=1e-3,
+                      floor_lr=5e-6)
+    assert lr_at_step(cfg, 37, 0) == 0.0
+    assert lr_at_step(cfg, 37, 10 * 37) == 1e-3
+    assert lr_at_step(cfg, 37, 100 * 37) == 5e-6
+    assert lr_at_step(cfg, 37, 100 * 37 + 50) == 5e-6
 
 
 @criterion(3, "gradient suite")

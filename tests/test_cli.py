@@ -86,7 +86,7 @@ def test_resolved_config_round_trips(tmp_path):
     run = RunConfig(
         ModelConfig(n_classes=5, dim=16, patch=(1, 2, 2),
                     input_shape=(6, 8, 8, 4)),
-        TrainConfig(epochs=7, peak_lr=0.002),
+        TrainConfig(epochs=7, warmup_epochs=2, peak_lr=0.002),
         str(tmp_path / "d"),
         str(tmp_path / "o"),
     )
@@ -297,14 +297,24 @@ GENERATE_ARGS = ["generate", "--n-samples", "2", "--n-classes", "2"]
     ["train", "n_heads=-2"],
     ["train", "mlp_ratio=-1"],
     ["train", "warmup_epochs=-1"],
+    ["train", "warmup_epochs=3"],
     ["train", "seed=-1"],
     ["train", "--seed", "-1"],
+    ["train", "peak_lr=-0.003"],
+    ["train", "peak_lr=nan"],
+    ["train", "floor_lr=0.1"],
+    ["train", "weight_decay=-1"],
+    ["train", "focal_gamma=-1"],
     GENERATE_ARGS + ["--grid", "4"],
     GENERATE_ARGS + ["--t-range", "4"],
     GENERATE_ARGS + ["--seed", "-1"],
+    GENERATE_ARGS + ["--channels", "0"],
 ], ids=" ".join)
 def test_bad_value_exits_2_at_its_gate(dataset, tmp_path, capsys, argv):
-    """``key=value`` items are run.cfg lines; the rest are flags."""
+    """``key=value`` items are run.cfg lines; the rest are flags.
+
+    A train run rejected at its gate writes no resolved.cfg.
+    """
     if argv[0] == "train":
         lines = dict(a.split("=") for a in argv if "=" in a)
         cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "o",
@@ -316,6 +326,7 @@ def test_bad_value_exits_2_at_its_gate(dataset, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error:") or "usage:" in err
+    assert not (tmp_path / "o" / "resolved.cfg").exists()
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):

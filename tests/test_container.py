@@ -15,7 +15,8 @@ from sitsformer.training import TrainConfig
 
 # sha256 of the files write_pinned_files produces, taken from the writers
 # as they were before the formats moved into container.py. Any change here
-# is an on-disk format change.
+# is an on-disk format change. The run config sets warmup_epochs=2 because
+# TrainConfig rejects the default warmup of 10 in a 7-epoch run.
 PINS = {
     "toy.ckpt": "278cc63b49d3ae3bfa392d605ef163acb7a6776499ffc58d841962098e05e2f3",
     "train.state": "f7b494634d8e3cd62df00016ca87185b47d83599a0884c0701926a20549bb0ef",
@@ -23,7 +24,7 @@ PINS = {
     "cls.sits": "d8ff276281ea66ef9c3cea4f419b4cb1a2deecef1ccd4af1bc709dc65e4f659d",
     "manifest.csv": "c061b7d327538f59c0544237ee78f7f96ecaa81349071e4b3d8d5b265be02de3",
     "classes.txt": "880553fca8fcea94e325ee2cfb48e5a985cc797f39a14cc6d3cedecfeb2ae4d2",
-    "run/resolved.cfg": "d15a53d8191ea16d9e30ef43ec99fb38d421817f563db806b795eec0a89e3638",
+    "run/resolved.cfg": "20ae6048d286fdcc8ff6385bc0bf031b37cb9f8fdce50cb055284dcd50daff68",
 }
 
 

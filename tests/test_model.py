@@ -395,7 +395,7 @@ def variant_summary(variant):
         labels = rng.integers(0, cfg.n_classes + 1, size=logits.shape[:-1])
         loss = masked_cross_entropy(logits, labels, cfg.n_classes)
     else:
-        loss = focal_loss(logits, 1)
+        loss = focal_loss(logits, 1, gamma=2.0)
     backward(loss)
     grads = [p.grad for p in model.parameters() if p.grad is not None]
     return (float(logits.data.sum()), float(np.abs(logits.data).sum()),

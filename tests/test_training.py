@@ -1,5 +1,6 @@
 """Tests for losses, optimizer, schedule, metrics, and the loops."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -93,7 +94,7 @@ class TestFocalLoss:
 
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
-            tr.focal_loss(Tensor(np.zeros(3, dtype=np.float32)), 5)
+            tr.focal_loss(Tensor(np.zeros(3, dtype=np.float32)), 5, gamma=2.0)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
@@ -110,17 +111,17 @@ class TestAdamW:
     def test_pure_decay(self):
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         p.grad = np.zeros(3, dtype=np.float32)
-        state = tr.AdamWState([p], weight_decay=0.01)
-        tr.adamw_step([p], state, lr=0.1)
+        state = tr.AdamWState([p])
+        tr.adamw_step([p], state, lr=0.1, weight_decay=0.01)
         np.testing.assert_allclose(p.data, 0.999, rtol=1e-6)
 
     def test_no_decay_matches_reference_adam(self):
         theta = Tensor(np.array([0.5]), requires_grad=True, dtype=np.float64)
-        state = tr.AdamWState([theta], weight_decay=0.0)
+        state = tr.AdamWState([theta])
         grads = [0.3, -0.1, 0.25, 0.4, -0.05]
         for g in grads:
             theta.grad = np.array([g])
-            tr.adamw_step([theta], state, lr=0.01)
+            tr.adamw_step([theta], state, lr=0.01, weight_decay=0.0)
 
         ref, m, v = 0.5, 0.0, 0.0
         for t, g in enumerate(grads, 1):
@@ -139,7 +140,7 @@ class TestAdamW:
             state = tr.AdamWState([p])
             for _ in range(10):
                 p.grad = rng.standard_normal(4).astype(np.float32)
-                tr.adamw_step([p], state, lr=0.01)
+                tr.adamw_step([p], state, lr=0.01, weight_decay=0.01)
             return p.data
 
         np.testing.assert_array_equal(run(), run())
@@ -157,7 +158,7 @@ class TestAdamW:
                     p.grad = g.copy()
                 if clip:
                     tr.clip_grad_norm(params)
-                tr.adamw_step(params, state, lr=0.01)
+                tr.adamw_step(params, state, lr=0.01, weight_decay=0.01)
             return np.concatenate([p.data for p in params])
 
         def scaled(norm, seed):
@@ -183,38 +184,45 @@ class TestAdamW:
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         state = tr.AdamWState([p])
         with pytest.raises(Exception):
-            tr.adamw_step([p, p], state, lr=0.1)
+            tr.adamw_step([p, p], state, lr=0.1, weight_decay=0.01)
 
 
 class TestSchedule:
     def test_pins(self):
-        sched = tr.LRSchedule(total_epochs=40, steps_per_epoch=7)
-        assert tr.lr_at_step(sched, 0) == 0.0
-        assert tr.lr_at_step(sched, 10 * 7) == 1e-3
-        assert tr.lr_at_step(sched, 40 * 7) == 5e-6
+        cfg = tr.TrainConfig(epochs=40)
+        assert tr.lr_at_step(cfg, 7, 0) == 0.0
+        assert tr.lr_at_step(cfg, 7, 10 * 7) == 1e-3
+        assert tr.lr_at_step(cfg, 7, 40 * 7) == 5e-6
 
     def test_clamps_beyond_schedule(self):
-        sched = tr.LRSchedule(total_epochs=20, steps_per_epoch=3)
-        assert tr.lr_at_step(sched, 10_000) == 5e-6
+        cfg = tr.TrainConfig(epochs=20)
+        assert tr.lr_at_step(cfg, 3, 10_000) == 5e-6
 
     def test_warmup_monotone_then_decay_monotone(self):
-        sched = tr.LRSchedule(total_epochs=30, steps_per_epoch=5)
-        values = [tr.lr_at_step(sched, s) for s in range(sched.total_steps + 1)]
-        w = sched.warmup_steps
+        cfg = tr.TrainConfig(epochs=30)
+        values = [tr.lr_at_step(cfg, 5, s) for s in range(30 * 5 + 1)]
+        w = cfg.warmup_epochs * 5
         assert all(a <= b for a, b in zip(values[:w], values[1 : w + 1]))
         assert all(a >= b for a, b in zip(values[w:-1], values[w + 1 :]))
 
     def test_continuous_at_junction(self):
-        sched = tr.LRSchedule(total_epochs=25, steps_per_epoch=4)
-        warm_side = tr.lr_at_step(sched, sched.warmup_steps)
-        cos_side = sched.floor + 0.5 * (sched.peak - sched.floor) * (
+        cfg = tr.TrainConfig(epochs=25)
+        warm_side = tr.lr_at_step(cfg, 4, cfg.warmup_epochs * 4)
+        cos_side = cfg.floor_lr + 0.5 * (cfg.peak_lr - cfg.floor_lr) * (
             1.0 + math.cos(0.0)
         )
         assert abs(warm_side - cos_side) < 1e-12
 
     def test_warmup_must_fit(self):
-        with pytest.raises(ConfigError):
-            tr.LRSchedule(total_epochs=10, steps_per_epoch=2)
+        with pytest.raises(ConfigError, match="warmup_epochs 10"):
+            tr.TrainConfig(epochs=10)
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(
+        tr.TrainConfig) if f.type is float])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_recipe_float_must_be_finite_and_non_negative(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            tr.TrainConfig(**{key: value})
 
 
 class TestMetrics:
@@ -303,11 +311,9 @@ class TestTrainLoop:
         tr.train_loop(model, records, cfg, log, ckpt)
         lines = log.read_text().strip().splitlines()
         assert len(lines) == 12
-        sched = tr.LRSchedule(total_epochs=12, steps_per_epoch=2,
-                              warmup_epochs=2)
         for line in lines:
             epoch, step, lr, loss, oa, miou = line.split(",")
-            assert float(lr) == tr.lr_at_step(sched, int(step))
+            assert float(lr) == tr.lr_at_step(cfg, 2, int(step))
         first = float(lines[0].split(",")[3])
         last = float(lines[-1].split(",")[3])
         assert last < first
