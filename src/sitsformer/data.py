@@ -8,6 +8,7 @@ so class identity is carried by the timing of the signal rather than by
 its amplitude.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -179,10 +180,10 @@ class PhenologyClassSpec:
                 f"green-up day {self.green_up_day} must precede senescence "
                 f"day {self.senescence_day}"
             )
-        if self.up_slope <= 0 or self.down_slope <= 0:
-            raise ConfigError("slopes must be positive")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
+        if not all(0 < s < math.inf for s in (self.up_slope, self.down_slope)):
+            raise ConfigError("slopes must be positive and finite")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std {self.noise_std} must be finite, >= 0")
         if not 0.0 <= self.cloud_prob <= 1.0:
             raise ConfigError("cloud_prob must lie in [0, 1]")
 

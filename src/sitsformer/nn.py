@@ -9,8 +9,6 @@ anywhere; the training recipe this package implements uses none.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -58,7 +56,7 @@ class Affine:
         self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return T.affine(x, self.weight, self.bias)
 
 
 class MSAWeights:
@@ -70,7 +68,6 @@ class MSAWeights:
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  dtype=DEFAULT_DTYPE):
         self.heads = heads
-        self.head_dim = dim // heads
         self.q = Affine(dim, dim, rng, dtype)
         self.k = Affine(dim, dim, rng, dtype)
         self.v = Affine(dim, dim, rng, dtype)
@@ -87,14 +84,11 @@ class MLPWeights:
 
 
 class NormWeights:
-    """Layer-norm scale and shift, initialised to the identity.
+    """Layer-norm scale and shift, initialised to the identity."""
 
-    With ``trainable=False`` they stay constants, outside the parameters.
-    """
-
-    def __init__(self, dim: int, dtype=DEFAULT_DTYPE, trainable: bool = True):
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=trainable)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=trainable)
+    def __init__(self, dim: int, dtype=DEFAULT_DTYPE):
+        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
 
 
 class BlockWeights:
@@ -109,42 +103,30 @@ class BlockWeights:
 
 
 class EncoderWeights:
-    """A stack of ``depth`` blocks sharing one feature width, then a norm.
+    """A stack of ``depth`` blocks sharing one feature width.
 
-    The final norm is fixed at gamma = 1, beta = 0: whatever reads the
-    encoder out is affine, so a learned scale and shift there would add
-    nothing.
+    The final norm has no scale or shift: whatever reads the encoder out is
+    affine, so a learned one there would add nothing.
     """
 
     def __init__(self, dim: int, depth: int, heads: int, mlp_ratio: int,
                  rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         self.blocks = [BlockWeights(dim, heads, mlp_ratio, rng, dtype)
                        for _ in range(depth)]
-        self.norm = NormWeights(dim, dtype, trainable=False)
 
 
 def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False):
     """Scaled dot-product attention over the token axis, per head.
 
-    Heads attend independently at scale 1/sqrt(head_dim), are concatenated,
+    Heads attend independently at scale 1/sqrt(d / heads), are concatenated,
     and pass through the output projection. Shape (B, n, d) is preserved.
-    With ``return_attn`` the (B, heads, n, n) attention rows come back too.
+    With ``return_attn`` the (B, heads, n, n) attention rows come back too,
+    as a constant tensor: they are not differentiable.
     """
-    b, n, d = z.shape
-    h, dh = w.heads, w.head_dim
-
-    def split_heads(x: Tensor) -> Tensor:
-        return x.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
-
-    q = split_heads(w.q(z))
-    k = split_heads(w.k(z))
-    v = split_heads(w.v(z))
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
-    mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
-    out = w.out(mixed)
+    out, attn = T.attention(w.q(z), w.k(z), w.v(z), w.heads)
+    out = w.out(out)
     if return_attn:
-        return out, attn
+        return out, Tensor(attn)
     return out
 
 
@@ -169,5 +151,5 @@ def encoder_forward(z: Tensor, w: EncoderWeights,
     if keep is not None:
         z = T.getitem(z, (slice(None), slice(0, keep)))
     if w.blocks:
-        z = T.layer_norm(z, w.norm.gamma, w.norm.beta)
+        z = T.layer_norm(z, None, None)
     return z

@@ -1,15 +1,16 @@
 """Dense float tensors with tape-based reverse-mode differentiation.
 
 The model code in this package is written against a deliberately small set of
-primitives: elementwise arithmetic, (batched) matmul, reshape/transpose/concat
-style layout ops, reductions, and the three nonlinearities a pre-norm
-transformer needs (softmax, layer norm, GELU). Every primitive wraps its
-output through one constructor, ``_op``, which alone decides whether the op
-is recorded: only when grad mode is on (see :class:`no_grad`) and some input
-requires a gradient. A recorded op puts its backward closure on the current
-thread's tape (:func:`active_tape`); each thread keeps its own tape and grad
-mode. :func:`backward` replays the tape in reverse execution order, which is
-a valid reverse topological order because ops are recorded as they run.
+primitives: elementwise arithmetic, (batched) matmul, affine and multi-head
+attention, reshape/transpose/concat style layout ops, reductions, and the
+nonlinearities a pre-norm transformer needs (softmax, layer norm, GELU).
+Every primitive wraps its output through one constructor, ``_op``, which
+alone decides whether the op is recorded: only when grad mode is on (see
+:class:`no_grad`) and some input requires a gradient. A recorded op puts its
+backward closure on the current thread's tape (:func:`active_tape`); each
+thread keeps its own tape and grad mode. :func:`backward` replays the tape in
+reverse execution order, which is a valid reverse topological order because
+ops are recorded as they run.
 
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
@@ -340,11 +341,7 @@ def exp(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy stacking semantics on leading dims.
-
-    A 2-D right operand (every ``Affine``) runs as one 2-D GEMM over the
-    flattened leading dims of ``a``, forward and backward.
-    """
+    """Matrix product with numpy stacking semantics on leading dims."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
             f"matmul requires rank >= 2 operands, got shapes {a.shape} and {b.shape}"
@@ -354,18 +351,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: shapes {a.shape} and {b.shape}"
         )
     a_data, b_data = a.data, b.data
-    if b.ndim == 2:
-        (k, n), m = b.shape, math.prod(a.shape[:-1])
-        out_data = (a_data.reshape(m, k) @ b_data).reshape(a.shape[:-1] + (n,))
-
-        def back_2d(g):
-            g2d = g.reshape(m, n)
-            if a.requires_grad:
-                _accum(a, (g2d @ b_data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accum(b, a_data.reshape(m, k).T @ g2d, owned=True)
-
-        return _op(out_data, (a, b), back_2d)
     try:
         out_data = a_data @ b_data
     except ValueError as e:
@@ -380,6 +365,78 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b.shape))
 
     return _op(out_data, (a, b), back)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: one 2-D GEMM over the flattened leading dims of ``x``,
+    forward and backward, with the bias added into the product's buffer."""
+    (k, n), m = w.shape, math.prod(x.shape[:-1])
+    if x.shape[-1] != k:
+        raise ShapeError(
+            f"affine input width {x.shape[-1]} does not match weight {w.shape}"
+        )
+    x_data, w_data = x.data, w.data
+    out_data = x_data.reshape(m, k) @ w_data
+    out_data += b.data
+
+    def back(g):
+        g2d = g.reshape(m, n)
+        if x.requires_grad:
+            _accum(x, (g2d @ w_data.T).reshape(x.shape), owned=True)
+        if w.requires_grad:
+            _accum(w, x_data.reshape(m, k).T @ g2d, owned=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+
+    return _op(out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), back)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention over the tokens of (B, n, d).
+
+    One op splits heads, scores at 1/sqrt(d / heads), takes the softmax,
+    mixes and merges; its backward keeps only q, k, v and the probabilities.
+    Returns the output and the (B, heads, n, n) probabilities, a plain array
+    that backward reads.
+    """
+    b, n, d = q.shape
+    if k.shape != q.shape or v.shape != q.shape or d % heads:
+        raise ShapeError(f"attention over {heads} heads cannot take q, k, v "
+                         f"of shapes {q.shape}, {k.shape}, {v.shape}")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x):
+        return x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ np.swapaxes(kh, -1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def back(g):
+        gm = split(g)
+        if v.requires_grad:
+            _accum(v, merge(np.swapaxes(p, -1, -2) @ gm), owned=True)
+        gs = gm @ np.swapaxes(vh, -1, -2)
+        inner = (gs * p).sum(axis=-1, keepdims=True)
+        gs -= inner
+        gs *= p
+        gs *= scale
+        if q.requires_grad:
+            _accum(q, merge(gs @ kh), owned=True)
+        if k.requires_grad:
+            # As (qh^T @ gs)^T, the orientation of the unfused q @ k^T.
+            gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+            _accum(k, merge(gk), owned=True)
+
+    return _op(merge(p @ vh), (q, k, v), back), p
 
 
 # -- layout ops ----------------------------------------------------------------
@@ -545,34 +602,46 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _op(out_data, (a,), back)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance normalization over the last axis, then affine."""
+def layer_norm(a: Tensor, gamma: Tensor | None, beta: Tensor | None,
+               eps: float = 1e-5) -> Tensor:
+    """Zero-mean unit-variance normalization over the last axis, then affine.
+
+    ``gamma`` and ``beta`` of ``None`` mean no affine: the normalized values
+    are the output, and the op keeps no other full-size array.
+    """
     d = a.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
+    if gamma is not None and (gamma.shape != (d,) or beta.shape != (d,)):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match "
             f"feature width {d}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    gamma_data = gamma.data
+    xhat *= inv_std
+    if gamma is None:
+        out_data, inputs = xhat, (a,)
+    else:
+        out_data = xhat * gamma.data
+        out_data += beta.data
+        inputs = (a, gamma, beta)
 
     def back(g):
-        lead = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=lead))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=lead))
+        if gamma is not None:
+            lead = tuple(range(g.ndim - 1))
+            if gamma.requires_grad:
+                _accum(gamma, (g * xhat).sum(axis=lead))
+            if beta.requires_grad:
+                _accum(beta, g.sum(axis=lead))
         if a.requires_grad:
-            dxhat = g * gamma_data
+            dxhat = g if gamma is None else g * gamma.data
             term = dxhat - dxhat.mean(axis=-1, keepdims=True)
             term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, inv_std * term)
+            # Not scaled in place: the product's memory order, which a
+            # non-contiguous ``g`` sets, decides how later sums round.
+            _accum(a, inv_std * term, owned=True)
 
-    return _op(xhat * gamma_data + beta.data, (a, gamma, beta), back)
+    return _op(out_data, inputs, back)
 
 
 def _phi_f32(x: np.ndarray) -> np.ndarray:

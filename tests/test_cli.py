@@ -309,6 +309,8 @@ GENERATE_ARGS = ["generate", "--n-samples", "2", "--n-classes", "2"]
     GENERATE_ARGS + ["--t-range", "4"],
     GENERATE_ARGS + ["--seed", "-1"],
     GENERATE_ARGS + ["--channels", "0"],
+    GENERATE_ARGS + ["--noise-std", "nan"],
+    GENERATE_ARGS + ["--noise-std", "inf"],
 ], ids=" ".join)
 def test_bad_value_exits_2_at_its_gate(dataset, tmp_path, capsys, argv):
     """``key=value`` items are run.cfg lines; the rest are flags.

@@ -13,7 +13,7 @@ from sitsformer import model as m
 from sitsformer.container import config_from_items, config_items
 from sitsformer.data import SitsSeries
 from sitsformer.errors import CompatibilityError, ConfigError, FormatError
-from sitsformer.tensor import Tensor, backward, no_grad
+from sitsformer.tensor import Tensor, active_tape, backward, no_grad
 from sitsformer.training import focal_loss, masked_cross_entropy
 
 TOY = dict(
@@ -407,6 +407,23 @@ def variant_summary(variant):
 def test_variant_logits_and_gradients_are_pinned(variant):
     np.testing.assert_allclose(variant_summary(variant), VARIANT_PINS[variant],
                                rtol=1e-9)
+
+
+def test_demo_forward_tape_size_is_pinned():
+    # The README run.cfg model. Per sample: 25 affine, 4 attention, 10
+    # layer_norm, 4 gelu, 11 add, 7 reshape, 4 getitem, 3 transpose, 2
+    # concat, 1 broadcast_to and 1 matmul (the head). A primitive split
+    # back into its parts shows up here first.
+    cfg = m.ModelConfig(n_classes=4, dim=32, depth_temporal=2,
+                        depth_spatial=2, n_heads=4, mlp_ratio=2,
+                        patch=(1, 2, 2), input_shape=(12, 8, 8, 3))
+    model = m.SitsFormer(cfg, seed=1)
+    tape = active_tape()
+    try:
+        m.forward(toy_series(cfg, seed=2), model)
+        assert len(tape) == 72
+    finally:
+        tape.clear()
 
 
 def test_static_and_date_lookup_pins_differ():

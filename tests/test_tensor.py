@@ -1,5 +1,6 @@
 """Tests for the tensor/autodiff core."""
 
+import math
 import threading
 
 import numpy as np
@@ -16,8 +17,8 @@ def t64(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
-# Every primitive the benchmark traces, as (call, input shapes); matmul runs
-# both its 2-D-weight GEMM branch and its batched branch.
+# Every differentiable primitive, as (call, input shapes): matmul against a
+# 2-D and a 3-D right operand, layer_norm with and without its affine.
 PRIMITIVE_CASES = {
     "add": (T.add, [(2, 3), (3,)]),
     "sub": (T.sub, [(2, 3), (2, 3)]),
@@ -28,6 +29,9 @@ PRIMITIVE_CASES = {
     "pow_const": (lambda a: T.pow_const(a, 3.0), [(2, 3)]),
     "matmul_2d": (T.matmul, [(2, 3, 4), (4, 5)]),
     "matmul_3d": (T.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "affine": (T.affine, [(2, 3, 4), (4, 5), (5,)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, 2)[0],
+                  [(2, 3, 4), (2, 3, 4), (2, 3, 4)]),
     "reshape": (lambda a: T.reshape(a, (6, 4)), [(2, 3, 4)]),
     "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
     "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
@@ -39,6 +43,7 @@ PRIMITIVE_CASES = {
     "softmax": (T.softmax, [(2, 3)]),
     "logsumexp": (T.logsumexp, [(2, 3)]),
     "layer_norm": (T.layer_norm, [(2, 4), (4,), (4,)]),
+    "layer_norm_plain": (lambda a: T.layer_norm(a, None, None), [(2, 4)]),
     "gelu": (T.gelu, [(2, 3)]),
 }
 
@@ -88,8 +93,8 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
     def test_gradcheck_batched(self):
-        # 3-D and 4-D left operands against a 2-D weight take the flattened
-        # one-GEMM path; transposing (4, 3, 2) gives a non-contiguous one.
+        # 3-D and 4-D left operands against a 2-D weight broadcast it;
+        # transposing (4, 3, 2) gives a non-contiguous left operand.
         rng = np.random.default_rng(1)
         b = t64(rng.standard_normal((4, 5)))
         for shape, axes in (((2, 3, 4), None), ((2, 2, 3, 4), None),
@@ -195,6 +200,61 @@ class TestLayerNorm:
             return (out * Tensor(w, dtype=np.float64)).sum()
 
         assert check_gradients(loss, [x, gamma, beta]) < 1e-5
+
+
+class TestFusedOps:
+    def test_float32_matches_composed_forms_bitwise(self):
+        # affine is matmul on the flattened rows, then a bias add; attention
+        # is split heads, scores, scale, softmax, mix and merge.
+        b, n, d, heads = 3, 5, 8, 2
+        dh = d // heads
+        rng = np.random.default_rng(12)
+
+        def leaf(*shape):
+            return Tensor(rng.standard_normal(shape).astype(np.float32),
+                          requires_grad=True)
+
+        x = leaf(b, n, d)
+        weights = [(leaf(d, d), leaf(d)) for _ in range(4)]
+        coef = Tensor(rng.standard_normal((b, n, d)).astype(np.float32))
+
+        def composed_affine(z, w, bias):
+            flat = T.matmul(T.reshape(z, (b * n, d)), w)
+            return T.reshape(flat, (b, n, d)) + bias
+
+        def composed_attention(q, k, v):
+            def split(t):
+                return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+            q, k, v = split(q), split(k), split(v)
+            scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+            attn = T.softmax(scores, axis=-1)
+            mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+            return mixed, attn.data
+
+        runs = []
+        for aff, att in ((T.affine, lambda q, k, v: T.attention(q, k, v, heads)),
+                         (composed_affine, composed_attention)):
+            qkv = [aff(x, w, bias) for w, bias in weights[:3]]
+            mixed, probs = att(*qkv)
+            out = aff(mixed, *weights[3])
+            backward((out * coef).sum())
+            leaves = [x] + [t for pair in weights for t in pair]
+            runs.append([out.data, probs] + [t.grad for t in leaves])
+            for t in leaves:
+                t.zero_grad()
+        for fused, composed in zip(*runs):
+            assert fused.dtype == np.float32
+            np.testing.assert_array_equal(fused, composed)
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            T.affine(x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            T.attention(x, x, x, 3)
+        with pytest.raises(ShapeError):
+            T.attention(x, x, Tensor(np.zeros((2, 4, 4))), 2)
 
 
 class TestGelu:
@@ -312,6 +372,17 @@ class TestBackward:
 
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+    def test_float64_gradient_matches_finite_differences(self, name):
+        fn, shapes = PRIMITIVE_CASES[name]
+        rng = np.random.default_rng(4)
+        inputs = [t64(rng.uniform(0.5, 1.5, shape)) for shape in shapes]
+        with no_grad():
+            out_shape = fn(*inputs).shape
+        # Fixed weights keep the loss from being constant (a softmax sums to 1).
+        coef = Tensor(rng.standard_normal(out_shape), dtype=np.float64)
+        assert check_gradients(lambda p: (fn(*p) * coef).sum(), inputs) < 1e-4
 
     @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
     def test_no_grad_suppresses_recording(self, name):
