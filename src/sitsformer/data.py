@@ -34,7 +34,8 @@ _MARGIN = 1
 
 
 class SitsSeries:
-    """A (values, dates) pair: values (T, H, W, C), one int day per frame.
+    """A (values, dates) pair: finite values (T, H, W, C), one int day per
+    frame, the days strictly increasing.
 
     values stay the array they were given: tokenize_sits wraps them, and
     its dtype rule keeps float64 input float64.
@@ -54,6 +55,8 @@ class SitsSeries:
             )
         if np.any(np.diff(dates) <= 0):
             raise DataError("acquisition dates must be strictly increasing")
+        if not np.isfinite(values).all():
+            raise DataError("series values must be finite")
         self.values = values
         self.dates = dates
 

@@ -12,6 +12,13 @@ thread keeps its own tape and grad mode. :func:`backward` replays the tape in
 reverse execution order, which is a valid reverse topological order because
 ops are recorded as they run.
 
+The tape holds no tensors. A recorded output gets a gradient slot, which
+carries a ``grad`` and a dtype but no data; a trainable leaf is its own slot.
+Closures receive their inputs' slots when they run, and capture only shapes
+and the arrays their backward reads. Any other array, such as a residual sum
+or the input of the final norm, is freed as soon as the forward code drops
+it.
+
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
 noise; nothing in the training path uses it. The dtype also selects the GELU
@@ -59,7 +66,7 @@ class Tensor:
     accumulated; it then accumulates additively until :meth:`zero_grad`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -72,6 +79,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._slot = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,6 +156,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
 
+class _Slot:
+    """Where a recorded op output's gradient accumulates during backward."""
+
+    __slots__ = ("grad", "dtype")
+
+    def __init__(self, dtype):
+        self.grad = None
+        self.dtype = dtype
+
+
 class _ThreadState(threading.local):
     """Per-thread tape and grad mode; a new thread starts empty, grad on."""
 
@@ -162,7 +180,7 @@ _state = _ThreadState()
 def active_tape() -> list:
     """The tape the current thread is recording onto.
 
-    Entries are ``(output tensor, backward closure)`` pairs in execution
+    Entries are ``(output slot, backward closure, input slots)`` in execution
     order; replaying them reversed visits every op once and respects data
     dependencies.
     """
@@ -183,15 +201,20 @@ class no_grad:
 
 
 def _op(data: np.ndarray, inputs: Sequence[Tensor],
-        back: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap a primitive's output and put ``(out, back)`` on the tape.
+        back: Callable[..., None]) -> Tensor:
+    """Wrap a primitive's output and, if recording, put it on the tape.
 
     This is the only place an op is recorded: when grad mode is on and some
     input requires a gradient. The output requires a gradient exactly when
     the op was recorded, so under :class:`no_grad` outputs are plain
     constants and nothing downstream records either.
 
-    The slots are filled directly, skipping ``Tensor.__init__``. A
+    Only a recorded op gets a slot. Its entry is ``(slot, back, input
+    slots)``, one per input: a recorded output's slot, a trainable leaf
+    itself (so ``p.grad`` is where the optimizer reads it), or ``None`` for
+    a constant. :func:`backward` calls ``back(g, *input_slots)``.
+
+    The attributes are filled directly, skipping ``Tensor.__init__``. A
     whole-array reduction's numpy scalar becomes a 0-d array, so that
     ``grad += g`` stays in place.
     """
@@ -203,36 +226,40 @@ def _op(data: np.ndarray, inputs: Sequence[Tensor],
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                _state.tape.append((out, back))
+                out._slot = slot = _Slot(out.data.dtype)
+                _state.tape.append((slot, back, [
+                    (x._slot or x) if x.requires_grad else None
+                    for x in inputs]))
                 break
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``t.grad``; the first touch stores a copy of ``g``.
+def _accum(slot, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``slot.grad``; the first touch stores a copy of ``g``.
 
-    The copy matters: ``g`` is often a view of another tensor's gradient,
-    which later accumulation into ``t.grad`` must not write through. A
-    caller passes ``owned=True`` only for a fresh array that nothing else
-    holds, which is then stored as it is.
+    ``slot`` is an input slot as :func:`_op` resolved it; ``None`` (a
+    constant) takes nothing. The copy matters: ``g`` is often a view of
+    another gradient, which later accumulation into ``slot.grad`` must not
+    write through. A caller passes ``owned=True`` only for a fresh array
+    that nothing else holds, which is then stored as it is.
     """
-    if not t.requires_grad:
+    if slot is None:
         return
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=not owned)
+    if slot.grad is None:
+        slot.grad = g.astype(slot.dtype, copy=not owned)
     else:
-        t.grad += g
+        slot.grad += g
 
 
 def backward(loss: Tensor) -> None:
     """Populate gradients of every tensor the scalar ``loss`` depends on.
 
     Consumes the current thread's tape: entries recorded by unrelated forward
-    passes are skipped (their outputs carry no gradient) but discarded all the
+    passes are skipped (their slots carry no gradient) but discarded all the
     same, so each training step starts from an empty tape. Each entry is
-    popped, and its output's gradient detached, before its closure runs, so
-    op outputs, closures and intermediate gradients are freed as soon as
-    they are consumed; only leaf tensors keep a gradient.
+    popped, and its slot's gradient detached, before its closure runs, so
+    closures, the arrays they read and intermediate gradients are freed as
+    soon as they are consumed; only leaf tensors keep a gradient.
     """
     if loss.size != 1:
         raise ContractError(
@@ -241,12 +268,12 @@ def backward(loss: Tensor) -> None:
     tape = active_tape()
     try:
         if loss.requires_grad:
-            _accum(loss, np.ones_like(loss.data))
+            _accum(loss._slot or loss, np.ones_like(loss.data))
             while tape:
-                out, fn = tape.pop()
-                g, out.grad = out.grad, None
+                slot, back, slots = tape.pop()
+                g, slot.grad = slot.grad, None
                 if g is not None:
-                    fn(g)
+                    back(g, *slots)
     finally:
         tape.clear()
 
@@ -270,14 +297,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
 
-        def back_scalar(g):
-            _accum(a, g)
+        def back_scalar(g, sa):
+            _accum(sa, g)
 
         return _op(a.data + b, (a,), back_scalar)
 
-    def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+    a_shape, b_shape = a.shape, b.shape
+
+    def back(g, sa, sb):
+        _accum(sa, _unbroadcast(g, a_shape))
+        _accum(sb, _unbroadcast(g, b_shape))
 
     return _op(a.data + b.data, (a, b), back)
 
@@ -295,16 +324,16 @@ def neg(a: Tensor) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
 
-        def back_scalar(g):
-            _accum(a, g * b)
+        def back_scalar(g, sa):
+            _accum(sa, g * b)
 
         return _op(a.data * b, (a,), back_scalar)
 
     a_data, b_data = a.data, b.data
 
-    def back(g):
-        _accum(a, _unbroadcast(g * b_data, a.shape))
-        _accum(b, _unbroadcast(g * a_data, b.shape))
+    def back(g, sa, sb):
+        _accum(sa, _unbroadcast(g * b_data, a_data.shape))
+        _accum(sb, _unbroadcast(g * a_data, b_data.shape))
 
     return _op(a_data * b_data, (a, b), back)
 
@@ -313,8 +342,8 @@ def pow_const(a: Tensor, p: float) -> Tensor:
     """Elementwise ``a ** p`` for a constant exponent."""
     a_data = a.data
 
-    def back(g):
-        _accum(a, g * (p * a_data ** (p - 1.0)))
+    def back(g, sa):
+        _accum(sa, g * (p * a_data ** (p - 1.0)))
 
     return _op(a_data**p, (a,), back)
 
@@ -322,8 +351,8 @@ def pow_const(a: Tensor, p: float) -> Tensor:
 def log(a: Tensor) -> Tensor:
     a_data = a.data
 
-    def back(g):
-        _accum(a, g / a_data)
+    def back(g, sa):
+        _accum(sa, g / a_data)
 
     return _op(np.log(a_data), (a,), back)
 
@@ -331,8 +360,8 @@ def log(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
-    def back(g):
-        _accum(a, g * out_data)
+    def back(g, sa):
+        _accum(sa, g * out_data)
 
     return _op(out_data, (a,), back)
 
@@ -358,11 +387,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul batch dimensions do not broadcast: shapes {a.shape} and {b.shape}"
         ) from e
 
-    def back(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b.shape))
+    def back(g, sa, sb):
+        if sa is not None:
+            _accum(sa, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape))
 
     return _op(out_data, (a, b), back)
 
@@ -375,18 +404,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"affine input width {x.shape[-1]} does not match weight {w.shape}"
         )
-    x_data, w_data = x.data, w.data
+    x_data, w_data, b_shape = x.data, w.data, b.shape
     out_data = x_data.reshape(m, k) @ w_data
     out_data += b.data
 
-    def back(g):
+    def back(g, sx, sw, sb):
         g2d = g.reshape(m, n)
-        if x.requires_grad:
-            _accum(x, (g2d @ w_data.T).reshape(x.shape), owned=True)
-        if w.requires_grad:
-            _accum(w, x_data.reshape(m, k).T @ g2d, owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+        if sx is not None:
+            _accum(sx, (g2d @ w_data.T).reshape(x_data.shape), owned=True)
+        if sw is not None:
+            _accum(sw, x_data.reshape(m, k).T @ g2d, owned=True)
+        if sb is not None:
+            _accum(sb, _unbroadcast(g, b_shape))
 
     return _op(out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), back)
 
@@ -420,21 +449,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
-    def back(g):
+    def back(g, sq, sk, sv):
         gm = split(g)
-        if v.requires_grad:
-            _accum(v, merge(np.swapaxes(p, -1, -2) @ gm), owned=True)
+        if sv is not None:
+            _accum(sv, merge(np.swapaxes(p, -1, -2) @ gm), owned=True)
         gs = gm @ np.swapaxes(vh, -1, -2)
         inner = (gs * p).sum(axis=-1, keepdims=True)
         gs -= inner
         gs *= p
         gs *= scale
-        if q.requires_grad:
-            _accum(q, merge(gs @ kh), owned=True)
-        if k.requires_grad:
+        if sq is not None:
+            _accum(sq, merge(gs @ kh), owned=True)
+        if sk is not None:
             # As (qh^T @ gs)^T, the orientation of the unfused q @ k^T.
             gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-            _accum(k, merge(gk), owned=True)
+            _accum(sk, merge(gk), owned=True)
 
     return _op(merge(p @ vh), (q, k, v), back), p
 
@@ -450,8 +479,8 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}") from e
     in_shape = a.shape
 
-    def back(g):
-        _accum(a, g.reshape(in_shape))
+    def back(g, sa):
+        _accum(sa, g.reshape(in_shape))
 
     return _op(out_data, (a,), back)
 
@@ -465,8 +494,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     else:
         inv = None
 
-    def back(g):
-        _accum(a, np.transpose(g, inv))
+    def back(g, sa):
+        _accum(sa, np.transpose(g, inv))
 
     return _op(np.transpose(a.data, axes), (a,), back)
 
@@ -477,9 +506,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def back(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+    def back(g, *slots):
+        for s, piece in zip(slots, np.split(g, splits, axis=axis)):
+            _accum(s, piece)
 
     return _op(out_data, tensors, back)
 
@@ -490,9 +519,10 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
         out_data = np.broadcast_to(a.data, shape)
     except ValueError as e:
         raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from e
+    in_shape = a.shape
 
-    def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
+    def back(g, sa):
+        _accum(sa, _unbroadcast(g, in_shape))
 
     return _op(np.ascontiguousarray(out_data), (a,), back)
 
@@ -504,14 +534,15 @@ def getitem(a: Tensor, key) -> Tensor:
         isinstance(key, tuple)
         and any(isinstance(k, (np.ndarray, list)) for k in key)
     )
+    in_shape, dtype = a.shape, a.dtype
 
-    def back(g):
-        buf = np.zeros_like(a.data)
+    def back(g, sa):
+        buf = np.zeros(in_shape, dtype)
         if fancy:
             np.add.at(buf, key, g)
         else:
             buf[key] += g
-        _accum(a, buf, owned=True)
+        _accum(sa, buf, owned=True)
 
     return _op(out_data, (a,), back)
 
@@ -528,11 +559,12 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
             f"gather_last index shape {idx.shape} does not match {a.shape[:-1]}"
         )
     expanded = idx[..., None]
+    in_shape, dtype = a.shape, a.dtype
 
-    def back(g):
-        buf = np.zeros_like(a.data)
+    def back(g, sa):
+        buf = np.zeros(in_shape, dtype)
         np.put_along_axis(buf, expanded, g[..., None], axis=-1)
-        _accum(a, buf, owned=True)
+        _accum(sa, buf, owned=True)
 
     return _op(np.take_along_axis(a.data, expanded, axis=-1)[..., 0], (a,), back)
 
@@ -551,8 +583,8 @@ def _expand_reduced(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.shape
 
-    def back(g):
-        _accum(a, _expand_reduced(g, in_shape, axis, keepdims))
+    def back(g, sa):
+        _accum(sa, _expand_reduced(g, in_shape, axis, keepdims))
 
     return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
 
@@ -562,8 +594,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.shape
     n = a.size if axis is None else a.data.size // out_data.size
 
-    def back(g):
-        _accum(a, _expand_reduced(g, in_shape, axis, keepdims) / n)
+    def back(g, sa):
+        _accum(sa, _expand_reduced(g, in_shape, axis, keepdims) / n)
 
     return _op(out_data, (a,), back)
 
@@ -579,9 +611,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
-    def back(g):
+    def back(g, sa):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, out_data * (g - inner))
+        _accum(sa, out_data * (g - inner))
 
     return _op(out_data, (a,), back)
 
@@ -596,8 +628,8 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     out_data = np.squeeze(m + np.log(s), axis=axis)
     soft = e / s
 
-    def back(g):
-        _accum(a, np.expand_dims(g, axis) * soft)
+    def back(g, sa):
+        _accum(sa, np.expand_dims(g, axis) * soft)
 
     return _op(out_data, (a,), back)
 
@@ -620,26 +652,27 @@ def layer_norm(a: Tensor, gamma: Tensor | None, beta: Tensor | None,
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     if gamma is None:
-        out_data, inputs = xhat, (a,)
+        out_data, inputs, gamma_data = xhat, (a,), None
     else:
-        out_data = xhat * gamma.data
+        gamma_data = gamma.data
+        out_data = xhat * gamma_data
         out_data += beta.data
         inputs = (a, gamma, beta)
 
-    def back(g):
-        if gamma is not None:
+    def back(g, sa, sgamma=None, sbeta=None):
+        if gamma_data is not None:
             lead = tuple(range(g.ndim - 1))
-            if gamma.requires_grad:
-                _accum(gamma, (g * xhat).sum(axis=lead))
-            if beta.requires_grad:
-                _accum(beta, g.sum(axis=lead))
-        if a.requires_grad:
-            dxhat = g if gamma is None else g * gamma.data
+            if sgamma is not None:
+                _accum(sgamma, (g * xhat).sum(axis=lead))
+            if sbeta is not None:
+                _accum(sbeta, g.sum(axis=lead))
+        if sa is not None:
+            dxhat = g if gamma_data is None else g * gamma_data
             term = dxhat - dxhat.mean(axis=-1, keepdims=True)
             term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             # Not scaled in place: the product's memory order, which a
             # non-contiguous ``g`` sets, decides how later sums round.
-            _accum(a, inv_std * term, owned=True)
+            _accum(sa, inv_std * term, owned=True)
 
     return _op(out_data, inputs, back)
 
@@ -670,6 +703,23 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
     return p
 
 
+def _gelu_slope(x: np.ndarray, phi_cdf: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """GELU's derivative ``Phi(x) + x * pdf(x)``, written into ``out``.
+
+    The ops and their order are those of the unfused form
+    ``phi_cdf + x * (exp((-0.5 * x) * x) * _INV_SQRT_2PI)``, so the bits
+    are the same.
+    """
+    np.multiply(x, -0.5, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= x
+    out += phi_cdf
+    return out
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: ``x * Phi(x)``.
 
@@ -677,30 +727,34 @@ def gelu(a: Tensor) -> Tensor:
     (about 0.1 us each; only float64 reference runs pay it); float32 input
     from :func:`_phi_f32`, one block of ``_GELU_BLOCK`` elements at a time,
     written into the output of an already-wrapped op. That op's
-    ``requires_grad`` says whether it was recorded, and ``Phi`` is kept for
-    the backward pass only then.
+    ``requires_grad`` says whether it was recorded. Only then does the
+    forward also compute the derivative (:func:`_gelu_slope`, block by block
+    for float32), which is all the backward keeps: it is one multiply, and
+    neither the input nor ``Phi`` outlives the forward.
     """
     x = a.data
 
-    def back(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accum(a, g * (phi_cdf + x * pdf), owned=True)
+    def back(g, sa):
+        _accum(sa, g * slope, owned=True)
 
     if x.dtype == np.float64:
         # Iterating .flat builds no array of Python floats (np.vectorize does).
         erf = np.fromiter(map(math.erf, (x * _INV_SQRT2).flat), np.float64,
                           count=x.size)
         phi_cdf = 0.5 * (1.0 + erf.reshape(x.shape))
-        return _op(x * phi_cdf, (a,), back)
+        out = _op(x * phi_cdf, (a,), back)
+        if out.requires_grad:
+            slope = _gelu_slope(x, phi_cdf, np.empty_like(x))
+        return out
     out = _op(np.empty(x.shape, x.dtype), (a,), back)
     flat, out_flat = x.reshape(-1), out.data.reshape(-1)
-    phi_flat = np.empty_like(flat) if out.requires_grad else None
+    slope_flat = np.empty_like(flat) if out.requires_grad else None
     for i in range(0, flat.size, _GELU_BLOCK):
         s = slice(i, i + _GELU_BLOCK)
         phi = _phi_f32(flat[s])
         np.multiply(flat[s], phi, out=out_flat[s])
-        if phi_flat is not None:
-            phi_flat[s] = phi
-    if phi_flat is not None:
-        phi_cdf = phi_flat.reshape(x.shape)
+        if slope_flat is not None:
+            _gelu_slope(flat[s], phi, slope_flat[s])
+    if slope_flat is not None:
+        slope = slope_flat.reshape(x.shape)
     return out

@@ -2,6 +2,7 @@
 
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from sitsformer.cli import (
     render_class_map,
     write_resolved_config,
 )
+from sitsformer.data import read_manifest, read_sample, write_sample
 from sitsformer.errors import ConfigError, DataError
 from sitsformer.model import ModelConfig
 from sitsformer.training import TrainConfig
@@ -394,6 +396,25 @@ def test_input_shape_mismatch_exits_1(dataset, tmp_path, capsys,
                      input_shape="4,4,4,2")
     assert main(["train", "--config", cfg]) == 1
     assert "configured input (4, 4, 4, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+def test_non_finite_sample_exits_1_before_training(dataset, tmp_path, capsys,
+                                                   monkeypatch):
+    # A NaN in one training sample is rejected when the sample is read, not
+    # by a diverged loss after training starts.
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    path = data / read_manifest(data).paths_for("train")[0]
+    record = read_sample(path)
+    record.values = record.values.copy()  # read back as a read-only view
+    record.values[1, 2, 3, 0] = np.nan
+    write_sample(path, record)
+    monkeypatch.setattr(cli, "train_loop",
+                        lambda *a, **k: pytest.fail("training started"))
+    cfg = _write_cfg(tmp_path / "run.cfg", data, tmp_path / "o")
+    assert main(["train", "--config", cfg]) == 1
+    assert "series values must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 

@@ -31,6 +31,15 @@ class TestRecord:
             with pytest.raises(DataError, match="strictly increasing"):
                 d.SitsRecord(values, dates, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_must_be_finite(self, bad):
+        values = np.zeros((2, 2, 2, 1), dtype=np.float32)
+        values[1, 0, 1, 0] = bad
+        with pytest.raises(DataError, match="series values must be finite"):
+            d.SitsSeries(values, [1, 2])
+        with pytest.raises(DataError, match="series values must be finite"):
+            d.SitsRecord(values, [1, 2], np.zeros((2, 2)))
+
     def test_label_shape_checked(self):
         with pytest.raises(ShapeError):
             d.SitsRecord(
@@ -54,6 +63,14 @@ class TestSampleFile:
         loaded = d.read_sample(path)
         assert loaded == record
         assert loaded.values.tobytes() == record.values.tobytes()
+
+    def test_non_finite_values_rejected_on_read(self, tmp_path):
+        record = small_record()
+        record.values[0, 1, 2, 0] = np.nan  # write_sample stores what it gets
+        path = tmp_path / "nan.sits"
+        d.write_sample(path, record)
+        with pytest.raises(DataError, match="series values must be finite"):
+            d.read_sample(path)
 
     def test_classification_round_trip(self, tmp_path):
         record = small_record(kind=d.KIND_CLASSIFICATION)
