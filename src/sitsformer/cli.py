@@ -16,9 +16,11 @@ import numpy as np
 
 from .container import atomic_open, config_from_text, config_text
 from .data import (
+    KIND_SEGMENTATION,
     load_split,
     generate_synthetic_dataset,
     make_classification_sample,
+    naming,
     read_manifest,
     read_sample,
 )
@@ -105,7 +107,9 @@ def write_class_map(path, pred):
 
 
 def _load_records(run: RunConfig, split: str):
-    """The split's samples as the run's model reads them; empty is an error."""
+    """The split's samples as the run's model reads them, each one
+    segmentation-kind and of the input shape, or named; empty is an error.
+    """
     manifest = read_manifest(run.data_dir)
     if manifest.n_classes != run.model.n_classes:
         raise ConfigError(
@@ -113,8 +117,12 @@ def _load_records(run: RunConfig, split: str):
             f"{run.model.n_classes}"
         )
     records = load_split(run.data_dir, manifest, split)
-    for record in records:
-        check_series(record, run.model)
+    for name, record in zip(manifest.paths_for(split), records):
+        with naming(os.path.join(run.data_dir, name)):
+            if record.kind != KIND_SEGMENTATION:
+                raise DataError("a classification-kind sample; every task "
+                                "reads segmentation labels")
+            check_series(record, run.model)
     if run.model.task == "classification":
         records = [
             out for record in records

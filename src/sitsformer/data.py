@@ -8,6 +8,7 @@ so class identity is carried by the timing of the signal rather than by
 its amplitude.
 """
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import ConfigError, DataError, FormatError, ShapeError
+from .errors import (ConfigError, DataError, FormatError, ShapeError,
+                     SitsformerError)
 
 SAMPLE_MAGIC = b"SITS"
 SAMPLE_VERSION = 1
@@ -426,10 +428,30 @@ def read_manifest(directory) -> DatasetManifest:
                            seeds.pop() if seeds else 0)
 
 
+@contextlib.contextmanager
+def naming(path):
+    """Raise a package error from the block again as a DataError on path."""
+    try:
+        yield
+    except SitsformerError as e:
+        raise DataError(f"{path}: {e}") from e
+
+
 def load_split(directory, manifest: DatasetManifest, split: str):
-    return [
-        read_sample(os.path.join(directory, p)) for p in manifest.paths_for(split)
-    ]
+    """The split's records. The one gate for sample content: it names a file
+    that fails to read or holds a label past the manifest's classes, 0..K
+    for segmentation (K = n_classes is background), 0..K-1 otherwise.
+    """
+    records = []
+    for name in manifest.paths_for(split):
+        path = os.path.join(directory, name)
+        with naming(path):
+            record = read_sample(path)
+            top = manifest.n_classes - (record.kind == KIND_CLASSIFICATION)
+            if np.max(record.labels) > top:
+                raise DataError(f"label {np.max(record.labels)} outside 0..{top}")
+        records.append(record)
+    return records
 
 
 def _split_sizes(n: int) -> tuple:
@@ -456,6 +478,8 @@ def generate_synthetic_dataset(directory, n_samples: int, n_classes: int,
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if channels < 1:
         raise ConfigError(f"channels must be positive, got {channels}")
+    if t_range[0] != t_range[1]:
+        raise ConfigError(f"t_range {t_range} needs A == B: input_shape fixes T")
     specs = default_class_specs(n_classes, channels, noise_std, cloud_prob)
     os.makedirs(directory, exist_ok=True)
     n_train, n_val, n_test = _split_sizes(n_samples)

@@ -19,7 +19,13 @@ from sitsformer.cli import (
     render_class_map,
     write_resolved_config,
 )
-from sitsformer.data import read_manifest, read_sample, write_sample
+from sitsformer.data import (
+    KIND_CLASSIFICATION,
+    SitsRecord,
+    read_manifest,
+    read_sample,
+    write_sample,
+)
 from sitsformer.errors import ConfigError, DataError
 from sitsformer.model import ModelConfig
 from sitsformer.training import TrainConfig
@@ -313,11 +319,13 @@ GENERATE_ARGS = ["generate", "--n-samples", "2", "--n-classes", "2"]
     GENERATE_ARGS + ["--channels", "0"],
     GENERATE_ARGS + ["--noise-std", "nan"],
     GENERATE_ARGS + ["--noise-std", "inf"],
+    GENERATE_ARGS + ["--t-range", "16,24"],
 ], ids=" ".join)
 def test_bad_value_exits_2_at_its_gate(dataset, tmp_path, capsys, argv):
     """``key=value`` items are run.cfg lines; the rest are flags.
 
-    A train run rejected at its gate writes no resolved.cfg.
+    A train run rejected at its gate writes no resolved.cfg, and a generate
+    run no file.
     """
     if argv[0] == "train":
         lines = dict(a.split("=") for a in argv if "=" in a)
@@ -331,6 +339,7 @@ def test_bad_value_exits_2_at_its_gate(dataset, tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert err.startswith("error:") or "usage:" in err
     assert not (tmp_path / "o" / "resolved.cfg").exists()
+    assert not (tmp_path / "g").exists()
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -395,7 +404,9 @@ def test_input_shape_mismatch_exits_1(dataset, tmp_path, capsys,
     cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "o",
                      input_shape="4,4,4,2")
     assert main(["train", "--config", cfg]) == 1
-    assert "configured input (4, 4, 4, 2)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {os.path.join(dataset, 'sample_')}")
+    assert "configured input (4, 4, 4, 2)" in err
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
@@ -414,7 +425,37 @@ def test_non_finite_sample_exits_1_before_training(dataset, tmp_path, capsys,
                         lambda *a, **k: pytest.fail("training started"))
     cfg = _write_cfg(tmp_path / "run.cfg", data, tmp_path / "o")
     assert main(["train", "--config", cfg]) == 1
-    assert "series values must be finite" in capsys.readouterr().err
+    assert f"{path}: series values must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+def _above_n_classes(record):
+    labels = record.labels.copy()
+    labels[1, 1] = 9
+    return SitsRecord(record.values, record.dates, labels)
+
+
+def _classification_kind(record):
+    return SitsRecord(record.values, record.dates, 1, KIND_CLASSIFICATION)
+
+
+@pytest.mark.parametrize("alter, message", [
+    (_above_n_classes, "label 9 outside 0..3"),
+    (_classification_kind, "a classification-kind sample"),
+], ids=["label", "kind"])
+def test_bad_train_file_exits_1_naming_it(dataset, tmp_path, capsys,
+                                          monkeypatch, alter, message):
+    # Labels and the label kind are checked when the split is loaded, before
+    # the first step, and the error names the file, not a pixel mid-epoch.
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    path = data / read_manifest(data).paths_for("train")[-1]
+    write_sample(path, alter(read_sample(path)))
+    monkeypatch.setattr(cli, "train_loop",
+                        lambda *a, **k: pytest.fail("training started"))
+    cfg = _write_cfg(tmp_path / "run.cfg", data, tmp_path / "o")
+    assert main(["train", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 

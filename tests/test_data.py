@@ -233,6 +233,12 @@ class TestDataset:
         for name in sorted(p.name for p in a_dir.iterdir()):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_varying_frame_count_rejected_before_writing(self, tmp_path):
+        # input_shape fixes T, so a dataset of several lengths is unusable.
+        with pytest.raises(ConfigError, match="A == B"):
+            d.generate_synthetic_dataset(tmp_path / "g", 4, 2, t_range=(5, 8))
+        assert not (tmp_path / "g").exists()
+
     def test_duplicate_paths_rejected(self):
         with pytest.raises(DataError):
             d.DatasetManifest(
@@ -281,6 +287,60 @@ class TestDataset:
         with pytest.raises(FormatError, match=name) as e:
             d.read_manifest(tmp_path)
         assert e.value.offset == offset
+
+
+class TestLoadSplit:
+    """load_split is the gate for sample content, and names a bad file."""
+
+    @staticmethod
+    def dataset(tmp_path):
+        manifest = d.generate_synthetic_dataset(tmp_path, 6, 3, grid=(4, 4),
+                                                t_range=(3, 3), seed=2)
+        path = tmp_path / manifest.paths_for("train")[0]
+        return manifest, path, d.read_sample(path)
+
+    @staticmethod
+    def rejects(tmp_path, manifest, path, message):
+        with pytest.raises(DataError) as e:
+            d.load_split(tmp_path, manifest, "train")
+        assert str(e.value).startswith(f"{path}: {message}")
+        return e.value
+
+    def test_out_of_range_label(self, tmp_path):
+        manifest, path, record = self.dataset(tmp_path)
+        labels = record.labels.copy()
+        labels[1, 1] = 3  # background, n_classes, is a segmentation label
+        d.write_sample(path, d.SitsRecord(record.values, record.dates, labels))
+        assert len(d.load_split(tmp_path, manifest, "train")) == 4
+        labels[2, 1] = 4
+        d.write_sample(path, d.SitsRecord(record.values, record.dates, labels))
+        self.rejects(tmp_path, manifest, path, "label 4 outside 0..3")
+
+    def test_label_out_of_range(self, tmp_path):
+        # A classification label has no background value.
+        manifest, path, record = self.dataset(tmp_path)
+
+        def write(label):
+            d.write_sample(path, d.SitsRecord(record.values, record.dates,
+                                              label, d.KIND_CLASSIFICATION))
+
+        write(2)
+        assert len(d.load_split(tmp_path, manifest, "train")) == 4
+        write(3)
+        self.rejects(tmp_path, manifest, path, "label 3 outside 0..2")
+
+    def test_non_finite_value_names_the_file(self, tmp_path):
+        manifest, path, record = self.dataset(tmp_path)
+        record.values = record.values.copy()  # read back as a read-only view
+        record.values[0, 1, 1, 0] = np.nan
+        d.write_sample(path, record)
+        self.rejects(tmp_path, manifest, path, "series values must be finite")
+
+    def test_truncated_file_names_the_file(self, tmp_path):
+        manifest, path, _ = self.dataset(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        error = self.rejects(tmp_path, manifest, path, "sample truncated")
+        assert isinstance(error.__cause__, FormatError)
 
 
 class TestTransforms:

@@ -11,6 +11,7 @@ from sitsformer.errors import (
     ConfigError,
     DataError,
     MetricError,
+    ShapeError,
     TrainingDiverged,
 )
 from sitsformer.metrics import ConfusionMatrix, metrics
@@ -54,11 +55,6 @@ class TestMaskedCrossEntropy:
         np.testing.assert_array_equal(logits.grad[1, 1], np.zeros(3))
         assert np.any(logits.grad[0, 0] != 0)
 
-    def test_out_of_range_label(self):
-        logits = Tensor(np.zeros((1, 1, 3), dtype=np.float32))
-        with pytest.raises(DataError, match="7"):
-            tr.masked_cross_entropy(logits, [[7]], ignore_label=3)
-
     def test_gradcheck(self):
         rng = np.random.default_rng(2)
         logits = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True,
@@ -91,10 +87,6 @@ class TestFocalLoss:
     def test_confident_prediction_vanishes(self):
         logits = Tensor(np.array([20.0, -20.0], dtype=np.float32))
         assert tr.focal_loss(logits, 0, gamma=2.0).item() < 1e-8
-
-    def test_label_out_of_range(self):
-        with pytest.raises(DataError):
-            tr.focal_loss(Tensor(np.zeros(3, dtype=np.float32)), 5, gamma=2.0)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
@@ -183,7 +175,7 @@ class TestAdamW:
     def test_mismatched_params(self):
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         state = tr.AdamWState([p])
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError):
             tr.adamw_step([p, p], state, lr=0.1, weight_decay=0.01)
 
 
@@ -223,6 +215,22 @@ class TestSchedule:
     def test_recipe_float_must_be_finite_and_non_negative(self, key, value):
         with pytest.raises(ConfigError, match=key):
             tr.TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: tr.masked_cross_entropy(Tensor(np.zeros((1, 1, 3))), [[7]], 3),
+     IndexError),
+    (lambda: tr.masked_cross_entropy(Tensor(np.zeros((1, 1, 3))), 1, 3),
+     ShapeError),
+    (lambda: tr.focal_loss(Tensor(np.zeros(3)), 5, gamma=2.0), IndexError),
+    (lambda: ConfusionMatrix(2).update([5], [0]), IndexError),
+    (lambda: ConfusionMatrix(2).update([0, 1], [0]), IndexError),
+], ids=["ce-label", "ce-shape", "focal-label", "cm-label", "cm-shape"])
+def test_unchecked_labels_fail_at_the_backstop(call, error):
+    # load_split is the label gate; a hand-built label that does not fit
+    # the logits or the matrix still fails, in gather_last or numpy.
+    with pytest.raises(error):
+        call()
 
 
 class TestMetrics:
