@@ -228,7 +228,9 @@ def _cmd_predict(args) -> int:
     run = _apply_overrides(parse_run_config(args.config), args)
     ckpt = args.checkpoint or _build_trained_paths(run.out_dir)[1]
     model = load_checkpoint(ckpt)
-    record = read_sample(args.sample)
+    with naming(args.sample):
+        record = read_sample(args.sample)
+        check_series(record, model.config)
     with no_grad():
         logits = forward(record, model)
     pred = np.argmax(logits.data, axis=-1)

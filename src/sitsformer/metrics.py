@@ -10,9 +10,7 @@ class ConfusionMatrix:
     """K x K integer counts; rows are reference classes, columns predictions.
 
     Pixels carrying the ignore label ``n_classes`` are never counted, so
-    background stays out of every score derived from the matrix. Labels
-    are trusted (``data.load_split`` checks them); numpy's IndexError is
-    the backstop for a hand-built one past ``n_classes`` or a misaligned map.
+    background stays out of every score derived from the matrix.
     """
 
     def __init__(self, n_classes: int):
@@ -22,6 +20,13 @@ class ConfusionMatrix:
         self.counts = np.zeros((n_classes, n_classes), dtype=np.int64)
 
     def update(self, reference, predicted) -> None:
+        """Count each (reference, predicted) pixel pair.
+
+        Labels are trusted: only ``SitsRecord`` and ``data.load_split``
+        check their range. A hand-built label of -1 is counted silently as
+        class K-1 (numpy's negative index); numpy's IndexError is the
+        backstop for one past ``n_classes`` or a misaligned map.
+        """
         reference = np.asarray(reference).ravel()
         keep = reference != self.n_classes
         predicted = np.asarray(predicted).ravel()[keep]

@@ -2,9 +2,11 @@
 
 The model attends along time first (one token series per patch location,
 with per-class cls tokens prepended), keeps only the cls states, then
-attends along space (one sequence per class stream). Dense predictions come
-from projecting each spatial token back to its patch of pixels; global
-predictions come from the per-stream readout tokens.
+attends along space (one sequence per class stream). Since only the cls
+states are kept, the last temporal block is class attention (CaiT): only
+the cls tokens query, and every token is a key and a value. Dense
+predictions come from projecting each spatial token back to its patch of
+pixels; global predictions come from the per-stream readout tokens.
 
 Both factorization orders share one wiring. ``spatial_first`` only adds a
 per-frame spatial stage in front of the temporal one inside
@@ -237,10 +239,11 @@ def count_parameters(model: SitsFormer) -> int:
 def temporal_encode(series: SitsSeries, model: SitsFormer) -> Tensor:
     """Per-location attention along time; returns the retained cls states.
 
-    Output is (n_locations, n_streams, dim): everything after the cls prefix
-    is dropped once the temporal encoder has run. On ``spatial_first``
-    configs each frame first attends along space (frames are the batch axis,
-    no cls tokens), and the temporal stage then runs on those states.
+    Output is (n_locations, n_streams, dim): the last temporal block
+    computes only the cls rows, with every token as a key and a value. On
+    ``spatial_first`` configs each frame first attends along space (frames
+    are the batch axis, no cls tokens), and the temporal stage then runs on
+    those states.
     """
     cfg = model.config
     check_series(series, cfg)

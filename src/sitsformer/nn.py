@@ -3,8 +3,11 @@
 Pre-norm blocks: ``y = msa(ln(z)) + z`` followed by ``z' = mlp(ln(y)) + y``.
 Feature shape is preserved through every block, so the encoder can be stacked
 to any depth without reshaping. A non-empty encoder ends in a parameter-free
-layer norm, ViT's ``LN(z_L)`` readout (arXiv 2010.11929, Eq. 4). No dropout
-anywhere; the training recipe this package implements uses none.
+layer norm, ViT's ``LN(z_L)`` readout (arXiv 2010.11929, Eq. 4). An encoder
+read only at its leading tokens runs its last block as class attention
+(CaiT, arXiv 2103.17239): those tokens query, every token is a key and a
+value, and the other rows are never computed. No dropout anywhere; the
+training recipe this package implements uses none.
 """
 
 from __future__ import annotations
@@ -115,15 +118,23 @@ class EncoderWeights:
                        for _ in range(depth)]
 
 
-def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False):
+def _leading(z: Tensor, keep: int | None) -> Tensor:
+    """The first ``keep`` tokens of (B, n, d); all of them if ``keep`` is None."""
+    return z if keep is None else T.getitem(z, (slice(None), slice(0, keep)))
+
+
+def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False,
+                keep: int | None = None):
     """Scaled dot-product attention over the token axis, per head.
 
     Heads attend independently at scale 1/sqrt(d / heads), are concatenated,
     and pass through the output projection. Shape (B, n, d) is preserved.
-    With ``return_attn`` the (B, heads, n, n) attention rows come back too,
-    as a constant tensor: they are not differentiable.
+    With ``keep`` only the first ``keep`` tokens query, and the output is
+    (B, keep, d); every token is still a key and a value. With
+    ``return_attn`` the (B, heads, n_q, n) attention rows come back too, as
+    a constant tensor: they are not differentiable.
     """
-    out, attn = T.attention(w.q(z), w.k(z), w.v(z), w.heads)
+    out, attn = T.attention(w.q(_leading(z, keep)), w.k(z), w.v(z), w.heads)
     out = w.out(out)
     if return_attn:
         return out, Tensor(attn)
@@ -134,22 +145,32 @@ def mlp_forward(z: Tensor, w: MLPWeights) -> Tensor:
     return w.fc2(T.gelu(w.fc1(z)))
 
 
-def transformer_block(z: Tensor, w: BlockWeights) -> Tensor:
-    y = msa_forward(T.layer_norm(z, w.ln1.gamma, w.ln1.beta), w.attn) + z
+def transformer_block(z: Tensor, w: BlockWeights,
+                      keep: int | None = None) -> Tensor:
+    """One pre-norm block; with ``keep``, its class-attention form.
+
+    The class-attention form returns (B, keep, d): LN1, keys and values
+    cover every token, the rest only the first ``keep``.
+    """
+    y = msa_forward(T.layer_norm(z, w.ln1.gamma, w.ln1.beta), w.attn,
+                    keep=keep) + _leading(z, keep)
     return mlp_forward(T.layer_norm(y, w.ln2.gamma, w.ln2.beta), w.mlp) + y
 
 
 def encoder_forward(z: Tensor, w: EncoderWeights,
                     keep: int | None = None) -> Tensor:
-    """Run the blocks, keep the first ``keep`` tokens (default all), then norm.
+    """Run the blocks and the final norm on the first ``keep`` tokens
+    (default all).
 
-    The final norm is per token, so a caller that reads only the leading
-    tokens passes ``keep`` and the others are never normalised.
+    A caller that reads only the leading tokens passes ``keep``, and the
+    last block runs as class attention (CaiT, arXiv 2103.17239): only the
+    kept tokens query, take the residual, LN2 and the MLP, while every token
+    is a key and a value. This equals running every block in full and
+    slicing before the final norm, since nothing after the last attention
+    mixes tokens. An encoder with no blocks just slices.
     """
-    for block in w.blocks:
+    if not w.blocks:
+        return _leading(z, keep)
+    for block in w.blocks[:-1]:
         z = transformer_block(z, block)
-    if keep is not None:
-        z = T.getitem(z, (slice(None), slice(0, keep)))
-    if w.blocks:
-        z = T.layer_norm(z, None, None)
-    return z
+    return T.layer_norm(transformer_block(z, w.blocks[-1], keep), None, None)

@@ -422,27 +422,30 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor,
               heads: int) -> tuple[Tensor, np.ndarray]:
-    """Multi-head scaled dot-product attention over the tokens of (B, n, d).
+    """Multi-head scaled dot-product attention: q of (B, n_q, d) attends
+    over k and v of (B, n_k, d).
 
     One op splits heads, scores at 1/sqrt(d / heads), takes the softmax,
     mixes and merges; its backward keeps only q, k, v and the probabilities.
-    Returns the output and the (B, heads, n, n) probabilities, a plain array
-    that backward reads.
+    Returns the (B, n_q, d) output and the (B, heads, n_q, n_k)
+    probabilities, a plain array that backward reads. With n_q < n_k this
+    is class attention: only the leading tokens query, every token is a key.
     """
-    b, n, d = q.shape
-    if k.shape != q.shape or v.shape != q.shape or d % heads:
+    b, n_q, d = q.shape
+    if k.shape != v.shape or k.shape[:1] + k.shape[2:] != (b, d) or d % heads:
         raise ShapeError(f"attention over {heads} heads cannot take q, k, v "
                          f"of shapes {q.shape}, {k.shape}, {v.shape}")
+    n_k = k.shape[1]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(x):
+    def split(x, n):
         return x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x):
+    def merge(x, n):
         return x.transpose(0, 2, 1, 3).reshape(b, n, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(q.data, n_q), split(k.data, n_k), split(v.data, n_k)
     p = qh @ np.swapaxes(kh, -1, -2)
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
@@ -450,22 +453,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     p /= p.sum(axis=-1, keepdims=True)
 
     def back(g, sq, sk, sv):
-        gm = split(g)
+        gm = split(g, n_q)
         if sv is not None:
-            _accum(sv, merge(np.swapaxes(p, -1, -2) @ gm), owned=True)
+            _accum(sv, merge(np.swapaxes(p, -1, -2) @ gm, n_k), owned=True)
         gs = gm @ np.swapaxes(vh, -1, -2)
         inner = (gs * p).sum(axis=-1, keepdims=True)
         gs -= inner
         gs *= p
         gs *= scale
         if sq is not None:
-            _accum(sq, merge(gs @ kh), owned=True)
+            _accum(sq, merge(gs @ kh, n_q), owned=True)
         if sk is not None:
             # As (qh^T @ gs)^T, the orientation of the unfused q @ k^T.
             gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-            _accum(sk, merge(gk), owned=True)
+            _accum(sk, merge(gk, n_k), owned=True)
 
-    return _op(merge(p @ vh), (q, k, v), back), p
+    return _op(merge(p @ vh, n_q), (q, k, v), back), p
 
 
 # -- layout ops ----------------------------------------------------------------

@@ -51,7 +51,10 @@ def masked_cross_entropy(logits: Tensor, labels, ignore_label) -> Tensor:
     """Softmax cross-entropy averaged over pixels not carrying ignore_label.
 
     Ignored pixels contribute nothing: their gradient is exactly zero, and
-    an all-ignored map yields a zero loss.
+    an all-ignored map yields a zero loss. Labels are trusted: only
+    ``SitsRecord`` and ``data.load_split`` check their range. A hand-built
+    label of -1 is read silently as class K-1 (numpy's negative index); one
+    of K or more that is not the ignore label fails in ``gather_last``.
     """
     labels = np.asarray(labels)
     keep = labels != ignore_label

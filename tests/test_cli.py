@@ -254,6 +254,37 @@ def test_predict_is_deterministic(trained, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _with_nan(record):
+    values = record.values.copy()  # read back as a read-only view
+    values[1, 2, 3, 0] = np.nan
+    record.values = values  # set after the record's own finite check
+    return record
+
+
+def _two_rows(record):
+    return SitsRecord(record.values[:, :2], record.dates, record.labels[:2])
+
+
+@pytest.mark.parametrize("alter, message", [
+    (_with_nan, "series values must be finite"),
+    (_two_rows, "series shape (4, 2, 4, 3) does not match configured input "
+                "(4, 4, 4, 3)"),
+], ids=["nan", "shape"])
+def test_predict_bad_sample_exits_1_naming_it(trained, tmp_path, capsys,
+                                              monkeypatch, alter, message):
+    # The sample passes the same gate as a training file, before any forward.
+    dataset, _, _, cfg = trained
+    path = tmp_path / "sample.sits"
+    write_sample(path, alter(read_sample(sorted(dataset.glob("*.sits"))[0])))
+    monkeypatch.setattr(cli, "forward",
+                        lambda *a, **k: pytest.fail("forward ran"))
+    target = tmp_path / "map.ppm"
+    assert main(["predict", "--config", cfg, "--sample", str(path),
+                 "--out", str(target)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not target.exists()
+
+
 def test_ablate_scores_every_axis(dataset, tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "ab",
                      epochs="2")

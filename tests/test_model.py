@@ -411,9 +411,11 @@ def test_variant_logits_and_gradients_are_pinned(variant):
 
 def test_demo_forward_tape_size_is_pinned():
     # The README run.cfg model. Per sample: 25 affine, 4 attention, 10
-    # layer_norm, 4 gelu, 11 add, 7 reshape, 4 getitem, 3 transpose, 2
-    # concat, 1 broadcast_to and 1 matmul (the head). A primitive split
-    # back into its parts shows up here first.
+    # layer_norm, 4 gelu, 11 add, 7 reshape, 5 getitem, 3 transpose, 2
+    # concat, 1 broadcast_to and 1 matmul (the head). The getitem are the
+    # date lookup, the cls rows that query and enter the residual in the last
+    # temporal block, and the spatial readout and local tokens. A primitive
+    # split back into its parts shows up here first.
     cfg = m.ModelConfig(n_classes=4, dim=32, depth_temporal=2,
                         depth_spatial=2, n_heads=4, mlp_ratio=2,
                         patch=(1, 2, 2), input_shape=(12, 8, 8, 3))
@@ -421,7 +423,7 @@ def test_demo_forward_tape_size_is_pinned():
     tape = active_tape()
     try:
         m.forward(toy_series(cfg, seed=2), model)
-        assert len(tape) == 72
+        assert len(tape) == 73
     finally:
         tape.clear()
 

@@ -32,6 +32,8 @@ PRIMITIVE_CASES = {
     "affine": (T.affine, [(2, 3, 4), (4, 5), (5,)]),
     "attention": (lambda q, k, v: T.attention(q, k, v, 2)[0],
                   [(2, 3, 4), (2, 3, 4), (2, 3, 4)]),
+    "attention_cls": (lambda q, k, v: T.attention(q, k, v, 2)[0],
+                      [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
     "reshape": (lambda a: T.reshape(a, (6, 4)), [(2, 3, 4)]),
     "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
     "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
@@ -255,6 +257,19 @@ class TestFusedOps:
             T.attention(x, x, x, 3)
         with pytest.raises(ShapeError):
             T.attention(x, x, Tensor(np.zeros((2, 4, 4))), 2)
+
+    @pytest.mark.parametrize("q, k, v", [
+        ((2, 2, 4), (2, 3, 4), (2, 4, 4)),  # k and v disagree in length
+        ((1, 2, 4), (2, 3, 4), (2, 3, 4)),  # batch differs from q's
+        ((2, 2, 4), (2, 3, 6), (2, 3, 6)),  # width differs from q's
+        ((2, 2, 4), (3, 4), (3, 4)),  # k and v lack the batch axis
+    ])
+    def test_attention_shape_mismatch_names_every_shape(self, q, k, v):
+        q, k, v = (Tensor(np.zeros(shape)) for shape in (q, k, v))
+        with pytest.raises(ShapeError) as err:
+            T.attention(q, k, v, 2)
+        for t in (q, k, v):
+            assert str(t.shape) in str(err.value)
 
 
 class TestGelu:
