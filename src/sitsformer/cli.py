@@ -245,21 +245,24 @@ def _cmd_ablate(args) -> int:
     write_resolved_config(run)
     _load_records(run, "val")  # an empty val split fails before any training
     rows = []
+    scores = {}  # model config -> val mIoU: each distinct config trains once
     for axis, settings in CHOICES.items():
         if axis == "task":
             continue
         for setting in settings:
             variant_model = dataclasses.replace(run.model, **{axis: setting})
-            variant = dataclasses.replace(
-                run,
-                model=variant_model,
-                out_dir=os.path.join(run.out_dir, f"{axis}_{setting}"),
-            )
-            os.makedirs(variant.out_dir, exist_ok=True)
-            write_resolved_config(variant)
-            _train_once(variant, resume=False)
-            ckpt = _build_trained_paths(variant.out_dir)[1]
-            _, miou, _, _, _ = _score(variant, ckpt, "val")
+            if variant_model not in scores:
+                variant = dataclasses.replace(
+                    run,
+                    model=variant_model,
+                    out_dir=os.path.join(run.out_dir, f"{axis}_{setting}"),
+                )
+                os.makedirs(variant.out_dir, exist_ok=True)
+                write_resolved_config(variant)
+                _train_once(variant, resume=False)
+                ckpt = _build_trained_paths(variant.out_dir)[1]
+                scores[variant_model] = _score(variant, ckpt, "val")[1]
+            miou = scores[variant_model]
             rows.append((axis, setting, miou))
             log.info("ablation %s=%s -> mIoU %.4f", axis, setting, miou)
     table_path = os.path.join(run.out_dir, "ablation.csv")

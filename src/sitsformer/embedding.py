@@ -22,23 +22,23 @@ from .tensor import (
 
 
 def tokenize_sits(values: Tensor, patch, embed: Affine) -> Tensor:
-    """Cut (T, H, W, C) into patches and project each to the model width.
+    """Cut (B, T, H, W, C) into patches and project each to the model width.
 
-    Returns a (N_T, N_H, N_W, d) grid in (time, row, col) order. Frames
-    beyond N_T * t are dropped. ``ModelConfig`` and ``check_series`` fix the
-    shapes; a frame the patch does not divide fails in ``reshape``.
+    Returns a (B, N_T, N_H, N_W, d) grid in (sample, time, row, col) order.
+    Frames beyond N_T * t are dropped. ``ModelConfig`` and ``check_series``
+    fix the shapes; a frame the patch does not divide fails in ``reshape``.
     """
     if not isinstance(values, Tensor):
         values = Tensor(values)
     t, h, w = patch
-    T, H, W, C = values.shape
+    B, T, H, W, C = values.shape
     flat = t * h * w * C
     n_t, n_h, n_w = T // t, H // h, W // w
     if n_t * t != T:
-        values = getitem(values, slice(0, n_t * t))
-    x = reshape(values, (n_t, t, n_h, h, n_w, w, C))
-    x = transpose(x, (0, 2, 4, 1, 3, 5, 6))
-    x = reshape(x, (n_t, n_h, n_w, flat))
+        values = getitem(values, (slice(None), slice(0, n_t * t)))
+    x = reshape(values, (B, n_t, t, n_h, h, n_w, w, C))
+    x = transpose(x, (0, 1, 3, 5, 2, 4, 6, 7))
+    x = reshape(x, (B, n_t, n_h, n_w, flat))
     return embed(x)
 
 
@@ -65,7 +65,8 @@ class TemporalPositionTable:
         return self.table.shape[1]
 
     def row_indices(self, dates) -> np.ndarray:
-        """Map each date to its table row (nearest key, ties to earlier)."""
+        """Map each date to its table row (nearest key, ties to earlier);
+        any shape of dates, such as (B, T), gives rows of that shape."""
         dates = np.asarray(dates, dtype=np.int64)
         pos = np.searchsorted(self.keys, dates)
         lo = np.clip(pos - 1, 0, self.keys.size - 1)
@@ -93,27 +94,28 @@ class ClsTokenBank:
 def build_temporal_input(grid: Tensor, pe: Tensor, cls_tokens: Tensor) -> Tensor:
     """Assemble per-location token series for the temporal encoder.
 
-    grid (N_T, N_H, N_W, d) + pe (N_T, d) broadcast over locations, then the
-    same K cls tokens are prepended at every location. Output is
-    (N_H * N_W, K + N_T, d).
+    grid (B, N_T, N_H, N_W, d) + pe (B, N_T, d) broadcast over locations,
+    then the same K cls tokens are prepended at every location. Output is
+    (B, N_H * N_W, K + N_T, d).
     """
-    n_t, n_h, n_w, d = grid.shape
+    b, n_t, n_h, n_w, d = grid.shape
     k = cls_tokens.shape[0]
-    x = grid + reshape(pe, (n_t, 1, 1, d))
-    x = transpose(x, (1, 2, 0, 3))
-    x = reshape(x, (n_h * n_w, n_t, d))
-    cls = broadcast_to(reshape(cls_tokens, (1, k, d)), (n_h * n_w, k, d))
-    return concat([cls, x], axis=1)
+    x = grid + reshape(pe, (b, n_t, 1, 1, d))
+    x = transpose(x, (0, 2, 3, 1, 4))
+    x = reshape(x, (b, n_h * n_w, n_t, d))
+    cls = broadcast_to(cls_tokens, (b, n_h * n_w, k, d))
+    return concat([cls, x], axis=2)
 
 
 def build_spatial_input(cls_out: Tensor, ps: Tensor, cls_tokens: Tensor) -> Tensor:
     """Assemble per-class location sequences for the spatial encoder.
 
-    cls_out (N_H * N_W, K, d) are the retained temporal cls states. Transposed
-    to (K, N_H * N_W, d), spatial encodings added, and each class map gets one
-    global token in front. Output is (K, 1 + N_H * N_W, d).
+    cls_out (B, N_H * N_W, K, d) are the retained temporal cls states.
+    Transposed to (B, K, N_H * N_W, d), spatial encodings added, and each
+    class map gets one global token in front. Output is
+    (B, K, 1 + N_H * N_W, d).
     """
-    n_loc, _, d = cls_out.shape
-    z = transpose(cls_out, (1, 0, 2))
-    z = z + reshape(ps, (1, n_loc, d))
-    return concat([cls_tokens, z], axis=1)
+    b, n_loc, k, d = cls_out.shape
+    z = transpose(cls_out, (0, 2, 1, 3))
+    z = z + reshape(ps, (1, 1, n_loc, d))
+    return concat([broadcast_to(cls_tokens, (b, k, 1, d)), z], axis=2)

@@ -13,6 +13,10 @@ per-frame spatial stage in front of the temporal one inside
 :func:`temporal_encode`; :func:`forward` then reads its streams straight
 off the temporal cls states instead of running :func:`spatial_encode`.
 
+Every stage carries a leading sample axis: :func:`forward` stacks a list
+of series into one dense batch, and runs a single series as a batch of
+one.
+
 Every axis of that design is switchable for comparison runs: factorization
 order, number of cls tokens, temporal position source, and whether class
 streams may attend to each other.
@@ -225,36 +229,40 @@ class SitsFormer:
             p.zero_grad()
 
     def _temporal_query(self, dates) -> np.ndarray:
+        """The (B, n_frames) table keys of (B, T) dates."""
+        dates = np.asarray(dates)
         if self.config.pe_mode == "static":
             # Ordinal positions stand in for days: row i for frame i.
-            return np.arange(self.config.n_frames)
+            return np.broadcast_to(np.arange(self.config.n_frames),
+                                   (len(dates), self.config.n_frames))
         t = self.config.patch[0]
-        return np.asarray(dates)[::t][: self.config.n_frames]
+        return dates[:, ::t][:, : self.config.n_frames]
 
 
 def count_parameters(model: SitsFormer) -> int:
     return sum(p.size for _, p in model.named_parameters())
 
 
-def temporal_encode(series: SitsSeries, model: SitsFormer) -> Tensor:
+def temporal_encode(values, dates, model: SitsFormer) -> Tensor:
     """Per-location attention along time; returns the retained cls states.
 
-    Output is (n_locations, n_streams, dim): the last temporal block
-    computes only the cls rows, with every token as a key and a value. On
-    ``spatial_first`` configs each frame first attends along space (frames
-    are the batch axis, no cls tokens), and the temporal stage then runs on
-    those states.
+    ``values`` (B, T, H, W, C) and ``dates`` (B, T) are a dense batch of B
+    series. Output is (B, n_locations, n_streams, dim): the last temporal
+    block computes only the cls rows, with every token as a key and a
+    value. On ``spatial_first`` configs each frame first attends along
+    space (samples and frames are batch axes, no cls tokens), and the
+    temporal stage then runs on those states.
     """
     cfg = model.config
-    check_series(series, cfg)
-    grid = tokenize_sits(series.values, cfg.patch, model.embed)
+    _check_input_shape(values.shape[1:], cfg)
+    grid = tokenize_sits(values, cfg.patch, model.embed)
     if cfg.factorization == "spatial_first":
-        n_t, gh, gw, d = grid.shape
-        x = reshape(grid, (n_t, gh * gw, d))
-        x = x + reshape(model.spatial_pe, (1, gh * gw, d))
+        b, n_t, gh, gw, d = grid.shape
+        x = reshape(grid, (b, n_t, gh * gw, d))
+        x = x + reshape(model.spatial_pe, (1, 1, gh * gw, d))
         x = encoder_forward(x, model.spatial_encoder)
-        grid = reshape(x, (n_t, gh, gw, d))
-    pe = model.temporal_pe(model._temporal_query(series.dates))
+        grid = reshape(x, (b, n_t, gh, gw, d))
+    pe = model.temporal_pe(model._temporal_query(dates))
     z = build_temporal_input(grid, pe, model.cls.temporal)
     return encoder_forward(z, model.temporal_encoder, keep=cfg.n_streams)
 
@@ -262,67 +270,84 @@ def temporal_encode(series: SitsSeries, model: SitsFormer) -> Tensor:
 def spatial_encode(z: Tensor, model: SitsFormer):
     """Per-stream attention along space. Returns (global, local) states.
 
-    global is (n_streams, dim), the readout token per class stream; local is
-    (n_streams, n_locations, dim). In blocked mode the stream axis is a pure
-    batch axis, so streams cannot exchange information; full mode flattens
-    all streams into one joint sequence.
+    z is (B, n_locations, n_streams, dim). global is (B, n_streams, dim),
+    the readout token per class stream; local is (B, n_streams,
+    n_locations, dim). In blocked mode the stream axis is a pure batch
+    axis, so streams cannot exchange information; full mode flattens each
+    sample's streams into one joint sequence.
     """
     cfg = model.config
     zs = build_spatial_input(z, model.spatial_pe, model.cls.spatial)
-    s, n, d = zs.shape
+    b, s, n, d = zs.shape
     if cfg.cls_interactions == "full":
-        zs = reshape(zs, (1, s * n, d))
+        zs = reshape(zs, (b, s * n, d))
         zs = encoder_forward(zs, model.spatial_encoder)
-        zs = reshape(zs, (s, n, d))
+        zs = reshape(zs, (b, s, n, d))
     else:
         zs = encoder_forward(zs, model.spatial_encoder)
-    global_out = reshape(getitem(zs, (slice(None), slice(0, 1))), (s, d))
-    local = getitem(zs, (slice(None), slice(1, None)))
+    global_out = getitem(zs, (slice(None), slice(None), 0))
+    local = getitem(zs, (slice(None), slice(None), slice(1, None)))
     return global_out, local
 
 
 def segmentation_head(local: Tensor, model: SitsFormer) -> Tensor:
-    """Project each spatial token back to its pixel patch; tile to (H, W, K)."""
+    """Project each spatial token back to its pixel patch; tile to
+    (B, H, W, K)."""
     cfg = model.config
     gh, gw = cfg.grid_hw
     _, h, w = cfg.patch
     out = matmul(local, model.head_weight) + model.head_bias
-    k = cfg.n_classes
+    b, k = local.shape[0], cfg.n_classes
     if cfg.cls_mode == "per_class":
-        out = reshape(out, (k, gh, gw, h, w))
-        out = transpose(out, (1, 3, 2, 4, 0))
+        out = reshape(out, (b, k, gh, gw, h, w))
+        out = transpose(out, (0, 2, 4, 3, 5, 1))
     else:
-        out = reshape(out, (gh, gw, h, w, k))
-        out = transpose(out, (0, 2, 1, 3, 4))
-    return reshape(out, (gh * h, gw * w, k))
+        out = reshape(out, (b, gh, gw, h, w, k))
+        out = transpose(out, (0, 1, 3, 2, 4, 5))
+    return reshape(out, (b, gh * h, gw * w, k))
 
 
 def classification_head(global_out: Tensor, model: SitsFormer) -> Tensor:
-    """Project each readout token to its class logit; returns (K,)."""
+    """Project each readout token to its class logit; returns (B, K)."""
     cfg = model.config
-    z = reshape(global_out, (cfg.n_streams, 1, cfg.dim))
+    b = global_out.shape[0]
+    z = reshape(global_out, (b, cfg.n_streams, 1, cfg.dim))
     out = matmul(z, model.head_weight) + model.head_bias
-    return reshape(out, (cfg.n_classes,))
+    return reshape(out, (b, cfg.n_classes))
 
 
-def forward(series: SitsSeries, model: SitsFormer) -> Tensor:
-    """Full pass: logits (H, W, K) for segmentation, (K,) for classification."""
-    z = temporal_encode(series, model)
+def forward(series, model: SitsFormer) -> Tensor:
+    """Logits of one series, or of a list of series as one dense batch.
+
+    A list of B series of the configured shape gives (B, H, W, K) for
+    segmentation or (B, K) for classification. One series runs as a batch
+    of one, and gives (H, W, K) or (K,): only the batch axis is dropped.
+    """
+    batch = series if isinstance(series, list) else [series]
+    # A batch of one is a view of its series, not a copy.
+    values = (batch[0].values[None] if len(batch) == 1
+              else np.stack([s.values for s in batch]))
+    z = temporal_encode(values, np.stack([s.dates for s in batch]), model)
     if model.config.factorization == "temporal_first":
         global_out, local = spatial_encode(z, model)
     else:
         # No spatial readout token on this path: each stream's global state
         # is the location average of its temporal cls states.
-        local = transpose(z, (1, 0, 2))
-        global_out = tmean(local, axis=1)
+        local = transpose(z, (0, 2, 1, 3))
+        global_out = tmean(local, axis=2)
     if model.config.task == "segmentation":
-        return segmentation_head(local, model)
-    return classification_head(global_out, model)
+        logits = segmentation_head(local, model)
+    else:
+        logits = classification_head(global_out, model)
+    return logits if batch is series else reshape(logits, logits.shape[1:])
 
 
 def check_series(series: SitsSeries, config: ModelConfig) -> None:
     """Reject a series whose shape is not the configured input shape."""
-    shape = np.shape(series.values)
+    _check_input_shape(np.shape(series.values), config)
+
+
+def _check_input_shape(shape, config: ModelConfig) -> None:
     if shape != config.input_shape:
         raise ShapeError(
             f"series shape {shape} does not match configured input "

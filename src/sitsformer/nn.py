@@ -119,8 +119,11 @@ class EncoderWeights:
 
 
 def _leading(z: Tensor, keep: int | None) -> Tensor:
-    """The first ``keep`` tokens of (B, n, d); all of them if ``keep`` is None."""
-    return z if keep is None else T.getitem(z, (slice(None), slice(0, keep)))
+    """The first ``keep`` tokens of (..., n, d); all of them if ``keep`` is
+    None."""
+    if keep is None:
+        return z
+    return T.getitem(z, (..., slice(0, keep), slice(None)))
 
 
 def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False,
@@ -128,11 +131,12 @@ def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False,
     """Scaled dot-product attention over the token axis, per head.
 
     Heads attend independently at scale 1/sqrt(d / heads), are concatenated,
-    and pass through the output projection. Shape (B, n, d) is preserved.
-    With ``keep`` only the first ``keep`` tokens query, and the output is
-    (B, keep, d); every token is still a key and a value. With
-    ``return_attn`` the (B, heads, n_q, n) attention rows come back too, as
-    a constant tensor: they are not differentiable.
+    and pass through the output projection. Shape (..., n, d) is preserved:
+    every leading axis is a batch axis. With ``keep`` only the first
+    ``keep`` tokens query, and the output is (..., keep, d); every token is
+    still a key and a value. With ``return_attn`` the (..., heads, n_q, n)
+    attention rows come back too, as a constant tensor: they are not
+    differentiable.
     """
     out, attn = T.attention(w.q(_leading(z, keep)), w.k(z), w.v(z), w.heads)
     out = w.out(out)
@@ -149,7 +153,7 @@ def transformer_block(z: Tensor, w: BlockWeights,
                       keep: int | None = None) -> Tensor:
     """One pre-norm block; with ``keep``, its class-attention form.
 
-    The class-attention form returns (B, keep, d): LN1, keys and values
+    The class-attention form returns (..., keep, d): LN1, keys and values
     cover every token, the rest only the first ``keep``.
     """
     y = msa_forward(T.layer_norm(z, w.ln1.gamma, w.ln1.beta), w.attn,

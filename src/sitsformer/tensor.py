@@ -422,28 +422,29 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor,
               heads: int) -> tuple[Tensor, np.ndarray]:
-    """Multi-head scaled dot-product attention: q of (B, n_q, d) attends
-    over k and v of (B, n_k, d).
+    """Multi-head scaled dot-product attention: q of (..., n_q, d) attends
+    over k and v of (..., n_k, d), all three sharing the leading axes.
 
     One op splits heads, scores at 1/sqrt(d / heads), takes the softmax,
     mixes and merges; its backward keeps only q, k, v and the probabilities.
-    Returns the (B, n_q, d) output and the (B, heads, n_q, n_k)
+    Returns the (..., n_q, d) output and the (..., heads, n_q, n_k)
     probabilities, a plain array that backward reads. With n_q < n_k this
     is class attention: only the leading tokens query, every token is a key.
     """
-    b, n_q, d = q.shape
-    if k.shape != v.shape or k.shape[:1] + k.shape[2:] != (b, d) or d % heads:
+    *lead, n_q, d = q.shape
+    if (k.shape != v.shape or k.shape[:-2] != tuple(lead)
+            or k.shape[-1:] != (d,) or d % heads):
         raise ShapeError(f"attention over {heads} heads cannot take q, k, v "
                          f"of shapes {q.shape}, {k.shape}, {v.shape}")
-    n_k = k.shape[1]
+    n_k = k.shape[-2]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(x, n):
-        return x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+        return np.swapaxes(x.reshape(*lead, n, heads, dh), -2, -3)
 
     def merge(x, n):
-        return x.transpose(0, 2, 1, 3).reshape(b, n, d)
+        return np.swapaxes(x, -2, -3).reshape(*lead, n, d)
 
     qh, kh, vh = split(q.data, n_q), split(k.data, n_k), split(v.data, n_k)
     p = qh @ np.swapaxes(kh, -1, -2)

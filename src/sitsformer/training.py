@@ -3,10 +3,14 @@
 Dense runs use cross-entropy averaged over non-background pixels; global
 runs use focal loss. Optimization is Adam with decoupled weight decay under
 a linear-warmup, cosine-decay schedule, on gradients clipped to a global
-norm of ``GRAD_CLIP_NORM``. Each sample is back-propagated right after its
-forward pass, so one sample's tape is alive at a time whatever the batch
-size. Both loops are reproducible bit for bit from (seed, data), and a
-resumed run continues the uninterrupted one exactly.
+norm of ``GRAD_CLIP_NORM``. Both loops run a batch as micro-batches of
+:func:`micro_batch_size` samples, one dense forward each; training
+back-propagates each micro-batch right after its forward, so one
+micro-batch's tape is alive at a time whatever the batch size, and the
+size comes from a fixed value budget, ``BUDGET``, not from ``batch_size``.
+A batch's loss is the mean of its per-sample losses. Both loops are
+reproducible bit for bit from (seed, data), and a resumed run continues
+the uninterrupted one exactly.
 
 Labels are checked once, by ``data.load_split``; the losses trust them. A
 hand-built label that does not fit the logits fails in ``gather_last``
@@ -22,7 +26,7 @@ import numpy as np
 from . import container
 from .errors import ConfigError, DataError, TrainingDiverged
 from .metrics import ConfusionMatrix, metrics, per_class_table
-from .model import SitsFormer, forward, save_checkpoint
+from .model import ModelConfig, SitsFormer, forward, save_checkpoint
 from .tensor import (
     Tensor,
     backward,
@@ -31,6 +35,7 @@ from .tensor import (
     logsumexp,
     no_grad,
     pow_const,
+    tmean,
 )
 
 STATE_MAGIC = b"SFTS"
@@ -42,39 +47,48 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Largest global L2 norm of the gradient an Adam update sees (ViT's recipe).
 GRAD_CLIP_NORM = 1.0
+# Values of the temporal encoder's input, (n_locations, n_streams +
+# n_frames, dim) per sample, that one micro-batch may hold (see
+# micro_batch_size): 2 README demo samples, 1 reference sample.
+BUDGET = 16384
 
 
 # -- losses ---------------------------------------------------------------------
 
 
 def masked_cross_entropy(logits: Tensor, labels, ignore_label) -> Tensor:
-    """Softmax cross-entropy averaged over pixels not carrying ignore_label.
+    """Mean over label maps of each map's softmax cross-entropy, averaged
+    over its pixels not carrying ignore_label.
 
-    Ignored pixels contribute nothing: their gradient is exactly zero, and
-    an all-ignored map yields a zero loss. Labels are trusted: only
-    ``SitsRecord`` and ``data.load_split`` check their range. A hand-built
-    label of -1 is read silently as class K-1 (numpy's negative index); one
-    of K or more that is not the ignore label fails in ``gather_last``.
+    ``labels`` are (..., H, W) maps and ``logits`` (..., H, W, K); every
+    leading axis is a batch axis, and without one there is one map. Each
+    map is normalized by its own count of counted pixels. Ignored pixels
+    contribute nothing: their gradient is exactly zero, and an all-ignored
+    map adds exactly zero. Labels are trusted: only ``SitsRecord`` and
+    ``data.load_split`` check their range. A hand-built label of -1 is read
+    silently as class K-1 (numpy's negative index); one of K or more that
+    is not the ignore label fails in ``gather_last``.
     """
     labels = np.asarray(labels)
     keep = labels != ignore_label
-    count = int(keep.sum())
-    if count == 0:
-        # Multiplying by zero keeps the gradient path alive but exactly null.
-        return logits.sum() * 0.0
-    safe_labels = np.where(keep, labels, 0)
-    nll = logsumexp(logits, axis=-1) - gather_last(logits, safe_labels)
-    masked = nll * Tensor(keep.astype(logits.dtype))
-    return masked.sum() * (1.0 / count)
+    nll = logsumexp(logits, axis=-1) - gather_last(logits,
+                                                   np.where(keep, labels, 0))
+    count = keep.sum(axis=(-2, -1), keepdims=True)
+    weight = keep / (np.maximum(count, 1) * keep[..., 0, 0].size)
+    return (nll * Tensor(weight.astype(logits.dtype))).sum()
 
 
-def focal_loss(logits: Tensor, label: int, gamma: float) -> Tensor:
-    """Cross-entropy scaled by (1 - p_label)^gamma; gamma=0 is plain CE."""
-    logp = logits[label] - logsumexp(logits, axis=-1)
+def focal_loss(logits: Tensor, labels, gamma: float) -> Tensor:
+    """Cross-entropy scaled by (1 - p_label)^gamma; gamma=0 is plain CE.
+
+    ``logits`` are (..., K) and ``labels`` (...); the loss is the mean over
+    the leading axes, so one (K,) row with an int label is one sample.
+    """
+    logp = gather_last(logits, np.asarray(labels)) - logsumexp(logits, axis=-1)
     if gamma == 0:
-        return -logp
+        return tmean(-logp)
     p = exp(logp)
-    return -(pow_const((-p) + 1.0, gamma) * logp)
+    return tmean(-(pow_const((-p) + 1.0, gamma) * logp))
 
 
 # -- optimizer ------------------------------------------------------------------
@@ -183,14 +197,39 @@ def lr_at_step(cfg: TrainConfig, steps_per_epoch: int,
 # -- loops ----------------------------------------------------------------------
 
 
-def _sample_loss_and_prediction(record, model: SitsFormer, cfg: TrainConfig,
-                                ignore_label: int):
-    logits = forward(record, model)
+def micro_batch_size(config: ModelConfig, batch_size: int) -> int:
+    """Samples per forward and backward: as many as keep the temporal
+    encoder's input within ``BUDGET`` values, at least 1 and at most
+    ``batch_size``.
+
+    The tape's memory grows with the micro-batch, so the budget, not
+    ``batch_size``, bounds it. The split depends only on the config and
+    ``batch_size``, so a resumed run splits its batches as the
+    uninterrupted one did.
+    """
+    per_sample = (config.n_locations * (config.n_streams + config.n_frames)
+                  * config.dim)
+    return max(1, min(batch_size, BUDGET // per_sample))
+
+
+def _micro_batches(records, size: int):
+    return (records[i : i + size] for i in range(0, len(records), size))
+
+
+def _labels(records) -> np.ndarray:
+    return np.stack([r.labels for r in records])
+
+
+def _loss_and_prediction(records, model: SitsFormer, cfg: TrainConfig,
+                         ignore_label: int):
+    """The mean loss of a micro-batch and its (B, ...) argmax prediction."""
+    logits = forward(records, model)
+    labels = _labels(records)
     if model.config.task == "segmentation":
-        loss = masked_cross_entropy(logits, record.labels, ignore_label)
+        loss = masked_cross_entropy(logits, labels, ignore_label)
     else:
-        loss = focal_loss(logits, int(record.labels), cfg.focal_gamma)
-    return loss, np.argmax(logits.data, axis=-1)
+        loss = focal_loss(logits, labels, cfg.focal_gamma)
+    return loss, labels, np.argmax(logits.data, axis=-1)
 
 
 def _drop_log_lines_after(log_path, epoch: int) -> None:
@@ -225,6 +264,7 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         raise DataError("training requires at least one sample")
     ignore_label = model.config.n_classes
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
+    micro = micro_batch_size(model.config, cfg.batch_size)
     params = model.parameters()
     opt = AdamWState(params)
     start_epoch = 1
@@ -248,20 +288,20 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         epoch_losses = []
         lr = 0.0
         for chunk_start in range(0, len(order), cfg.batch_size):
-            batch = order[chunk_start : chunk_start + cfg.batch_size]
+            batch = [samples[int(i)]
+                     for i in order[chunk_start : chunk_start + cfg.batch_size]]
             model.zero_grad()
-            sample_losses = []
-            for idx in batch:
-                record = samples[int(idx)]
-                loss, pred = _sample_loss_and_prediction(
-                    record, model, cfg, ignore_label
+            loss_value = 0.0
+            for records in _micro_batches(batch, micro):
+                loss, labels, pred = _loss_and_prediction(
+                    records, model, cfg, ignore_label
                 )
-                cm.update(record.labels, pred)
-                sample_losses.append(loss.item())
+                cm.update(labels, pred)
+                share = len(records) / len(batch)
+                loss_value += loss.item() * share
                 # Parameter grads add up until zero_grad, so the batch mean's
-                # gradient needs no more than this sample's tape.
-                backward(loss * (1.0 / len(batch)))
-            loss_value = sum(sample_losses) / len(batch)
+                # gradient needs no more than this micro-batch's tape.
+                backward(loss * share)
             recent_losses.append(loss_value)
             del recent_losses[:-20]
             global_step += 1
@@ -298,9 +338,10 @@ def evaluate(model: SitsFormer, samples):
         raise DataError("evaluation requires at least one sample")
     cm = ConfusionMatrix(model.config.n_classes)
     with no_grad():
-        for record in samples:
-            logits = forward(record, model)
-            cm.update(record.labels, np.argmax(logits.data, axis=-1))
+        for records in _micro_batches(
+                samples, micro_batch_size(model.config, len(samples))):
+            logits = forward(records, model)
+            cm.update(_labels(records), np.argmax(logits.data, axis=-1))
     oa, miou, macc = metrics(cm)
     return oa, miou, macc, per_class_table(cm), cm
 

@@ -143,27 +143,25 @@ def test_factorization_structure():
     # summaries unchanged: order carries no information, dates do.
     model = SitsFormer(TOY, temporal_keys=np.array([20, 80, 200]), seed=1)
     series = _toy_series(seed=3)
-    base = temporal_encode(series, model)
+    base = temporal_encode(series.values[None], series.dates[None], model)
     perm = np.array([2, 0, 1])
-    shuffled = SitsSeries(series.values.copy(), series.dates)
-    shuffled.values = Tensor(series.values[perm])
-    shuffled.dates = series.dates[perm]
-    out = temporal_encode(shuffled, model)
+    out = temporal_encode(Tensor(series.values[None, perm]),
+                          series.dates[None, perm], model)
     np.testing.assert_allclose(out.data, base.data, atol=1e-5)
 
     # (b) blocked mode: perturbing one class stream cannot move any bit of
     # the others.
     rng = np.random.default_rng(8)
-    z_np = rng.standard_normal((4, 3, 8)).astype(np.float32)
+    z_np = rng.standard_normal((1, 4, 3, 8)).astype(np.float32)
     g1, l1 = spatial_encode(Tensor(z_np), model)
     poked = z_np.copy()
-    poked[:, 1, :] = rng.standard_normal((4, 8))
+    poked[:, :, 1, :] = rng.standard_normal((4, 8))
     model.cls.spatial.data[1] += 3.0
     g2, l2 = spatial_encode(Tensor(poked), model)
     for stream in (0, 2):
-        np.testing.assert_array_equal(g1.data[stream], g2.data[stream])
-        np.testing.assert_array_equal(l1.data[stream], l2.data[stream])
-    assert not np.array_equal(g1.data[1], g2.data[1])
+        np.testing.assert_array_equal(g1.data[:, stream], g2.data[:, stream])
+        np.testing.assert_array_equal(l1.data[:, stream], l2.data[:, stream])
+    assert not np.array_equal(g1.data[:, 1], g2.data[:, 1])
 
     # (c) relabeling the class axis permutes the segmentation logits.
     model = SitsFormer(TOY, temporal_keys=np.array([20, 80, 200]), seed=11)

@@ -299,6 +299,41 @@ def test_ablate_scores_every_axis(dataset, tmp_path, capsys):
     assert "spatial_first" in capsys.readouterr().out
 
 
+def test_ablate_trains_each_distinct_config_once(dataset, tmp_path,
+                                                monkeypatch):
+    cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "ab",
+                     epochs="2")
+    train_once = cli._train_once
+    trained = []
+
+    def counting(run, resume):
+        trained.append(run.model)
+        return train_once(run, resume)
+
+    monkeypatch.setattr(cli, "_train_once", counting)
+    assert main(["ablate", "--config", cfg]) == 0
+    # The base config and one variant per axis; no config trains twice.
+    assert len(trained) == len(set(trained)) == 5
+    assert sorted(os.listdir(tmp_path / "ab")) == [
+        "ablation.csv", "cls_interactions_full", "cls_mode_single",
+        "factorization_spatial_first", "factorization_temporal_first",
+        "pe_mode_static", "resolved.cfg"]
+    # The table is the one that training every row on its own writes.
+    run = parse_run_config(cfg)
+    expected = ["axis,setting,mIoU"]
+    for axis, settings in cli.CHOICES.items():
+        for setting in settings if axis != "task" else ():
+            alone = RunConfig(ModelConfig(**{**vars(run.model), axis: setting}),
+                              run.train, run.data_dir,
+                              str(tmp_path / "alone" / f"{axis}_{setting}"))
+            train_once(alone, resume=False)
+            miou = cli._score(alone, os.path.join(alone.out_dir, "best.ckpt"),
+                              "val")[1]
+            expected.append(f"{axis},{setting},{miou:.6f}")
+    assert (tmp_path / "ab" / "ablation.csv").read_text() == (
+        "\n".join(expected) + "\n")
+
+
 # -- failure modes ----------------------------------------------------------------
 
 

@@ -54,49 +54,52 @@ class TestSeries:
 class TestTokenize:
     def test_germany_sized_grid(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((52, 24, 24, 13)).astype(np.float32))
+        x = Tensor(rng.standard_normal((1, 52, 24, 24, 13)).astype(np.float32))
         aff = Affine(1 * 2 * 2 * 13, 16, rng)
         grid = emb.tokenize_sits(x, (1, 2, 2), aff)
-        assert grid.shape == (52, 12, 12, 16)
+        assert grid.shape == (1, 52, 12, 12, 16)
         assert grid.size // 16 == 7488
 
     def test_whole_frame_patch(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((5, 4, 4, 3)).astype(np.float32))
+        x = Tensor(rng.standard_normal((2, 5, 4, 4, 3)).astype(np.float32))
         aff = Affine(4 * 4 * 3, 8, rng)
         grid = emb.tokenize_sits(x, (1, 4, 4), aff)
-        assert grid.shape == (5, 1, 1, 8)
+        assert grid.shape == (2, 5, 1, 1, 8)
 
     def test_zero_weights_collapse_to_bias(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal((2, 4, 4, 3)).astype(np.float32))
+        x = Tensor(rng.standard_normal((1, 2, 4, 4, 3)).astype(np.float32))
         aff = Affine(12, 6, rng)
         aff.weight.data[:] = 0.0
         aff.bias.data[:] = np.arange(6, dtype=np.float32)
         grid = emb.tokenize_sits(x, (1, 2, 2), aff)
-        expected = np.broadcast_to(np.arange(6, dtype=np.float32), (2, 2, 2, 6))
+        expected = np.broadcast_to(np.arange(6, dtype=np.float32),
+                                   (1, 2, 2, 2, 6))
         np.testing.assert_array_equal(grid.data, expected)
 
     def test_indivisible_frame_fails_in_reshape(self):
-        x = Tensor(np.zeros((2, 10, 9, 3), dtype=np.float32))
+        x = Tensor(np.zeros((1, 2, 10, 9, 3), dtype=np.float32))
         aff = Affine(4 * 4 * 3, 6, np.random.default_rng(4))
         with pytest.raises(ShapeError, match="cannot reshape"):
             emb.tokenize_sits(x, (1, 4, 4), aff)
 
     def test_temporal_patch_groups_frames(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((4, 2, 2, 1)).astype(np.float32)
+        x = rng.standard_normal((2, 4, 2, 2, 1)).astype(np.float32)
         aff = identity_affine(2 * 2 * 2 * 1)
         grid = emb.tokenize_sits(Tensor(x), (2, 2, 2), aff)
-        assert grid.shape == (2, 1, 1, 8)
-        np.testing.assert_array_equal(grid.data[0, 0, 0], x[:2].ravel())
+        assert grid.shape == (2, 2, 1, 1, 8)
+        for b in range(2):
+            np.testing.assert_array_equal(grid.data[b, 0, 0, 0],
+                                          x[b, :2].ravel())
 
     def test_trailing_frames_dropped(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((5, 2, 2, 1)).astype(np.float32)
+        x = rng.standard_normal((1, 5, 2, 2, 1)).astype(np.float32)
         aff = identity_affine(8)
         grid = emb.tokenize_sits(Tensor(x), (2, 2, 2), aff)
-        assert grid.shape == (2, 1, 1, 8)
+        assert grid.shape == (1, 2, 1, 1, 8)
 
 
 class TestTemporalTable:
@@ -153,39 +156,40 @@ class TestTemporalInput:
     def test_germany_sized_assembly(self):
         rng = np.random.default_rng(8)
         d = 4
-        grid = Tensor(rng.standard_normal((52, 12, 12, d)).astype(np.float32))
-        pe = Tensor(rng.standard_normal((52, d)).astype(np.float32))
+        grid = Tensor(rng.standard_normal((1, 52, 12, 12, d)).astype(np.float32))
+        pe = Tensor(rng.standard_normal((1, 52, d)).astype(np.float32))
         cls = Tensor(rng.standard_normal((17, d)).astype(np.float32))
         out = emb.build_temporal_input(grid, pe, cls)
-        assert out.shape == (144, 69, d)
+        assert out.shape == (1, 144, 69, d)
 
     def test_zero_pe_tail_is_reshaped_grid(self):
         rng = np.random.default_rng(9)
-        grid_np = rng.standard_normal((3, 2, 2, 5)).astype(np.float32)
+        grid_np = rng.standard_normal((2, 3, 2, 2, 5)).astype(np.float32)
         out = emb.build_temporal_input(
             Tensor(grid_np),
-            Tensor(np.zeros((3, 5), dtype=np.float32)),
+            Tensor(np.zeros((2, 3, 5), dtype=np.float32)),
             Tensor(rng.standard_normal((2, 5)).astype(np.float32)),
         )
-        expected = grid_np.transpose(1, 2, 0, 3).reshape(4, 3, 5)
-        np.testing.assert_array_equal(out.data[:, 2:, :], expected)
+        expected = grid_np.transpose(0, 2, 3, 1, 4).reshape(2, 4, 3, 5)
+        np.testing.assert_array_equal(out.data[:, :, 2:, :], expected)
 
     def test_cls_rows_repeat_at_every_location(self):
         rng = np.random.default_rng(10)
         cls_np = rng.standard_normal((3, 4)).astype(np.float32)
         out = emb.build_temporal_input(
-            Tensor(rng.standard_normal((2, 2, 3, 4)).astype(np.float32)),
-            Tensor(rng.standard_normal((2, 4)).astype(np.float32)),
+            Tensor(rng.standard_normal((2, 2, 2, 3, 4)).astype(np.float32)),
+            Tensor(rng.standard_normal((2, 2, 4)).astype(np.float32)),
             Tensor(cls_np),
         )
-        for loc in range(6):
-            np.testing.assert_array_equal(out.data[loc, :3, :], cls_np)
+        for b in range(2):
+            for loc in range(6):
+                np.testing.assert_array_equal(out.data[b, loc, :3, :], cls_np)
 
     def test_pe_length_mismatch(self):
         with pytest.raises(ShapeError):
             emb.build_temporal_input(
-                Tensor(np.zeros((3, 2, 2, 4), dtype=np.float32)),
-                Tensor(np.zeros((5, 4), dtype=np.float32)),
+                Tensor(np.zeros((1, 3, 2, 2, 4), dtype=np.float32)),
+                Tensor(np.zeros((1, 5, 4), dtype=np.float32)),
                 Tensor(np.zeros((2, 4), dtype=np.float32)),
             )
 
@@ -195,37 +199,39 @@ class TestSpatialInput:
         rng = np.random.default_rng(11)
         d = 4
         out = emb.build_spatial_input(
-            Tensor(rng.standard_normal((144, 17, d)).astype(np.float32)),
+            Tensor(rng.standard_normal((1, 144, 17, d)).astype(np.float32)),
             Tensor(rng.standard_normal((144, d)).astype(np.float32)),
             Tensor(rng.standard_normal((17, 1, d)).astype(np.float32)),
         )
-        assert out.shape == (17, 145, d)
+        assert out.shape == (1, 17, 145, d)
 
     def test_zero_tables_give_pure_transpose(self):
         rng = np.random.default_rng(12)
-        z_np = rng.standard_normal((6, 3, 4)).astype(np.float32)
+        z_np = rng.standard_normal((2, 6, 3, 4)).astype(np.float32)
         out = emb.build_spatial_input(
             Tensor(z_np),
             Tensor(np.zeros((6, 4), dtype=np.float32)),
             Tensor(np.zeros((3, 1, 4), dtype=np.float32)),
         )
-        np.testing.assert_array_equal(out.data[:, 1:, :], z_np.transpose(1, 0, 2))
+        np.testing.assert_array_equal(out.data[:, :, 1:, :],
+                                      z_np.transpose(0, 2, 1, 3))
 
     def test_global_slot_holds_cls_token(self):
         rng = np.random.default_rng(13)
         cls_np = rng.standard_normal((3, 1, 4)).astype(np.float32)
         out = emb.build_spatial_input(
-            Tensor(rng.standard_normal((6, 3, 4)).astype(np.float32)),
+            Tensor(rng.standard_normal((2, 6, 3, 4)).astype(np.float32)),
             Tensor(rng.standard_normal((6, 4)).astype(np.float32)),
             Tensor(cls_np),
         )
-        for k in range(3):
-            np.testing.assert_array_equal(out.data[k, 0, :], cls_np[k, 0])
+        for b in range(2):
+            for k in range(3):
+                np.testing.assert_array_equal(out.data[b, k, 0, :], cls_np[k, 0])
 
     def test_ps_shape_mismatch(self):
         with pytest.raises(ShapeError):
             emb.build_spatial_input(
-                Tensor(np.zeros((6, 3, 4), dtype=np.float32)),
+                Tensor(np.zeros((1, 6, 3, 4), dtype=np.float32)),
                 Tensor(np.zeros((5, 4), dtype=np.float32)),
                 Tensor(np.zeros((3, 1, 4), dtype=np.float32)),
             )

@@ -41,6 +41,12 @@ def toy_series(cfg, seed=0):
     return SitsSeries(values, dates)
 
 
+def encode(series, model):
+    """temporal_encode of one series, as a batch of one."""
+    return m.temporal_encode(series.values[None],
+                             np.asarray(series.dates)[None], model)
+
+
 class TestConfig:
     @pytest.mark.parametrize("axis", m.CHOICES)
     def test_bad_enum(self, axis):
@@ -68,25 +74,26 @@ class TestConfig:
 class TestTemporalEncode:
     def test_output_shape(self):
         model = toy_model()
-        out = m.temporal_encode(toy_series(model.config), model)
-        assert out.shape == (4, 3, 8)
+        out = encode(toy_series(model.config), model)
+        assert out.shape == (1, 4, 3, 8)
 
     def test_depth_zero_zero_pe_returns_cls_tokens(self):
         model = toy_model(depth_temporal=0)
         model.temporal_pe.table.data[:] = 0.0
-        out = m.temporal_encode(toy_series(model.config), model)
+        out = encode(toy_series(model.config), model)
         for loc in range(4):
-            np.testing.assert_array_equal(out.data[loc], model.cls.temporal.data)
+            np.testing.assert_array_equal(out.data[0, loc],
+                                          model.cls.temporal.data)
 
     def test_joint_time_permutation_invariance(self):
         model = toy_model()
         series = toy_series(model.config, seed=3)
-        base = m.temporal_encode(series, model)
+        base = encode(series, model)
         perm = np.random.default_rng(4).permutation(4)
         shuffled = SitsSeries(series.values.copy(), series.dates)
         shuffled.values = Tensor(series.values[perm])
         shuffled.dates = series.dates[perm]
-        out = m.temporal_encode(shuffled, model)
+        out = encode(shuffled, model)
         np.testing.assert_allclose(out.data, base.data, atol=1e-5)
 
     def test_date_sensitivity_with_two_key_table(self):
@@ -94,16 +101,16 @@ class TestTemporalEncode:
         model = m.SitsFormer(cfg, temporal_keys=[0, 50], seed=1)
         rng = np.random.default_rng(5)
         values = rng.standard_normal(cfg.input_shape).astype(np.float32)
-        early = m.temporal_encode(SitsSeries(values, [0, 1, 2, 3]), model)
-        late = m.temporal_encode(SitsSeries(values, [47, 48, 49, 50]), model)
+        early = encode(SitsSeries(values, [0, 1, 2, 3]), model)
+        late = encode(SitsSeries(values, [47, 48, 49, 50]), model)
         assert not np.allclose(early.data, late.data, atol=1e-4)
 
     def test_static_mode_ignores_dates(self):
         model = toy_model(pe_mode="static")
         rng = np.random.default_rng(6)
         values = rng.standard_normal(model.config.input_shape).astype(np.float32)
-        a = m.temporal_encode(SitsSeries(values, [1, 2, 3, 4]), model)
-        b = m.temporal_encode(SitsSeries(values, [10, 90, 180, 300]), model)
+        a = encode(SitsSeries(values, [1, 2, 3, 4]), model)
+        b = encode(SitsSeries(values, [10, 90, 180, 300]), model)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_static_table_is_keyed_by_frame_index(self):
@@ -112,9 +119,9 @@ class TestTemporalEncode:
         days = np.arange(1, 360, 10)
         model = m.SitsFormer(cfg, temporal_keys=days, seed=1)
         assert model.temporal_pe.table.shape == (cfg.n_frames, cfg.dim)
-        query = model._temporal_query(days[: cfg.n_frames])
+        query = model._temporal_query(days[None, : cfg.n_frames])
         np.testing.assert_array_equal(model.temporal_pe.row_indices(query),
-                                      np.arange(cfg.n_frames))
+                                      [np.arange(cfg.n_frames)])
         assert m.count_parameters(model) == m.parameter_count(cfg)
         assert m.parameter_count(cfg, days.size) == m.parameter_count(cfg)
 
@@ -122,41 +129,41 @@ class TestTemporalEncode:
         model = toy_model()
         bad = SitsSeries(np.zeros((4, 4, 6, 2), dtype=np.float32), [1, 2, 3, 4])
         with pytest.raises(Exception, match="does not match"):
-            m.temporal_encode(bad, model)
+            encode(bad, model)
 
 
 class TestSpatialEncode:
     def test_output_shapes(self):
         model = toy_model()
-        z = Tensor(np.random.default_rng(7).standard_normal((4, 3, 8))
+        z = Tensor(np.random.default_rng(7).standard_normal((1, 4, 3, 8))
                    .astype(np.float32))
         global_out, local = m.spatial_encode(z, model)
-        assert global_out.shape == (3, 8)
-        assert local.shape == (3, 4, 8)
+        assert global_out.shape == (1, 3, 8)
+        assert local.shape == (1, 3, 4, 8)
 
     def test_blocked_streams_are_bitwise_independent(self):
         model = toy_model()
         rng = np.random.default_rng(8)
-        z_np = rng.standard_normal((4, 3, 8)).astype(np.float32)
+        z_np = rng.standard_normal((1, 4, 3, 8)).astype(np.float32)
         g1, l1 = m.spatial_encode(Tensor(z_np), model)
         poked = z_np.copy()
-        poked[:, 1, :] = rng.standard_normal((4, 8))
+        poked[:, :, 1, :] = rng.standard_normal((4, 8))
         model.cls.spatial.data[1] += 3.0
         g2, l2 = m.spatial_encode(Tensor(poked), model)
         for j in (0, 2):
-            np.testing.assert_array_equal(g1.data[j], g2.data[j])
-            np.testing.assert_array_equal(l1.data[j], l2.data[j])
-        assert not np.array_equal(g1.data[1], g2.data[1])
+            np.testing.assert_array_equal(g1.data[:, j], g2.data[:, j])
+            np.testing.assert_array_equal(l1.data[:, j], l2.data[:, j])
+        assert not np.array_equal(g1.data[:, 1], g2.data[:, 1])
 
     def test_full_mode_lets_streams_interact(self):
         model = toy_model(cls_interactions="full")
         rng = np.random.default_rng(9)
-        z_np = rng.standard_normal((4, 3, 8)).astype(np.float32)
+        z_np = rng.standard_normal((1, 4, 3, 8)).astype(np.float32)
         g1, _ = m.spatial_encode(Tensor(z_np), model)
         poked = z_np.copy()
-        poked[:, 1, :] += 5.0
+        poked[:, :, 1, :] += 5.0
         g2, _ = m.spatial_encode(Tensor(poked), model)
-        assert not np.array_equal(g1.data[0], g2.data[0])
+        assert not np.array_equal(g1.data[:, 0], g2.data[:, 0])
 
 
 class TestHeads:
@@ -190,13 +197,13 @@ class TestHeads:
     def test_cls_head_is_classwise_separable(self):
         model = toy_model(task="classification")
         rng = np.random.default_rng(10)
-        g = rng.standard_normal((3, 8)).astype(np.float32)
+        g = rng.standard_normal((1, 3, 8)).astype(np.float32)
         base = m.classification_head(Tensor(g), model)
         poked = g.copy()
-        poked[1] += 1.0
+        poked[:, 1] += 1.0
         out = m.classification_head(Tensor(poked), model)
-        assert out.data[1] != base.data[1]
-        np.testing.assert_array_equal(out.data[[0, 2]], base.data[[0, 2]])
+        assert out.data[0, 1] != base.data[0, 1]
+        np.testing.assert_array_equal(out.data[:, [0, 2]], base.data[:, [0, 2]])
 
     def test_single_cls_segmentation_shape(self):
         model = toy_model(cls_mode="single")
@@ -409,13 +416,84 @@ def test_variant_logits_and_gradients_are_pinned(variant):
                                rtol=1e-9)
 
 
+def _batch_of_three(cfg, dtype):
+    """Three series with distinct dates, and labels in which the second
+    segmentation map is all ignored."""
+    rng = np.random.default_rng(17)
+    series = [SitsSeries(rng.standard_normal(cfg.input_shape).astype(dtype),
+                         np.sort(rng.choice(365, cfg.input_shape[0],
+                                            replace=False)))
+              for _ in range(3)]
+    if cfg.task == "classification":
+        return series, np.arange(3) % cfg.n_classes
+    labels = rng.integers(0, cfg.n_classes + 1, (3,) + cfg.input_shape[1:3])
+    labels[1] = cfg.n_classes
+    return series, labels
+
+
+def _loss(logits, labels, cfg):
+    if cfg.task == "segmentation":
+        return masked_cross_entropy(logits, labels, cfg.n_classes)
+    return focal_loss(logits, labels, gamma=2.0)
+
+
+@pytest.mark.parametrize("variant", list(VARIANT_PINS),
+                         ids=["-".join(v) for v in VARIANT_PINS])
+def test_batched_call_matches_one_sample_calls(variant):
+    # One batched forward and backward of the mean loss against three
+    # one-sample calls whose losses, scaled by 1/3, add up their gradients.
+    factorization, cls_mode, pe_mode, cls_interactions, task = variant
+    cfg = m.ModelConfig(**TOY, factorization=factorization, cls_mode=cls_mode,
+                        pe_mode=pe_mode, cls_interactions=cls_interactions,
+                        task=task)
+    model = m.SitsFormer(cfg, temporal_keys=PIN_DAY_KEYS, seed=3,
+                         dtype=np.float64)
+    series, labels = _batch_of_three(cfg, np.float64)
+    batched = m.forward(series, model)
+    loss = _loss(batched, labels, cfg)
+    backward(loss)
+    # spatial_first reads no spatial cls token, so that one has no gradient.
+    batched_grads = [p.grad for p in model.parameters()]
+    model.zero_grad()
+    singles = []
+    for one, label in zip(series, labels):
+        logits = m.forward(one, model)
+        singles.append(logits.data)
+        backward(_loss(logits, label, cfg) * (1.0 / 3.0))
+    if task == "segmentation":
+        assert _loss(Tensor(batched.data[1]), labels[1], cfg).item() == 0.0
+    np.testing.assert_allclose(batched.data, np.stack(singles),
+                               rtol=1e-12, atol=1e-12)
+    for (name, p), g in zip(model.named_parameters(), batched_grads):
+        assert (g is None) == (p.grad is None), name
+        if g is not None:
+            np.testing.assert_allclose(g, p.grad, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
+
+def test_batched_float32_logits_match_one_sample_calls():
+    cfg = m.ModelConfig(n_classes=4, dim=32, depth_temporal=2,
+                        depth_spatial=2, n_heads=4, mlp_ratio=2,
+                        patch=(1, 2, 2), input_shape=(12, 8, 8, 3))
+    model = m.SitsFormer(cfg, temporal_keys=PIN_DAY_KEYS, seed=1)
+    series, _ = _batch_of_three(cfg, np.float32)
+    with no_grad():
+        batched = m.forward(series, model).data
+        singles = np.stack([m.forward(one, model).data for one in series])
+    assert batched.dtype == np.float32
+    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-5)
+
+
 def test_demo_forward_tape_size_is_pinned():
-    # The README run.cfg model. Per sample: 25 affine, 4 attention, 10
-    # layer_norm, 4 gelu, 11 add, 7 reshape, 5 getitem, 3 transpose, 2
-    # concat, 1 broadcast_to and 1 matmul (the head). The getitem are the
-    # date lookup, the cls rows that query and enter the residual in the last
-    # temporal block, and the spatial readout and local tokens. A primitive
-    # split back into its parts shows up here first.
+    # The README run.cfg model. Per micro-batch, whatever its size: 25
+    # affine, 4 attention, 10 layer_norm, 4 gelu, 11 add, 5 reshape, 5
+    # getitem, 3 transpose, 2 concat, 2 broadcast_to and 1 matmul (the
+    # head). The getitem are the date lookup, the cls rows that query and
+    # enter the residual in the last temporal block, and the spatial readout
+    # and local tokens; the broadcast_to put the temporal and spatial cls
+    # tokens in front of every sample's sequences. A one-sample call adds
+    # one reshape, which drops the batch axis. A primitive split back into
+    # its parts shows up here first.
     cfg = m.ModelConfig(n_classes=4, dim=32, depth_temporal=2,
                         depth_spatial=2, n_heads=4, mlp_ratio=2,
                         patch=(1, 2, 2), input_shape=(12, 8, 8, 3))
@@ -424,6 +502,9 @@ def test_demo_forward_tape_size_is_pinned():
     try:
         m.forward(toy_series(cfg, seed=2), model)
         assert len(tape) == 73
+        tape.clear()
+        m.forward([toy_series(cfg, seed=s) for s in (2, 3)], model)
+        assert len(tape) == 72
     finally:
         tape.clear()
 

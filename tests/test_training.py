@@ -307,6 +307,24 @@ def tiny_setup(n_samples=4, seed=0):
     return model, records
 
 
+# The README run.cfg model, whose micro-batch holds 2 samples.
+DEMO = ModelConfig(n_classes=4, dim=32, depth_temporal=2, depth_spatial=2,
+                   n_heads=4, mlp_ratio=2, patch=(1, 2, 2),
+                   input_shape=(12, 8, 8, 3))
+
+
+def demo_setup(n_samples):
+    dates = np.arange(1, 360, 30)
+    model = SitsFormer(DEMO, temporal_keys=dates, seed=1)
+    rng = np.random.default_rng(7)
+    records = [
+        Record(rng.standard_normal(DEMO.input_shape).astype(np.float32),
+               dates, rng.integers(0, 5, size=(8, 8)))
+        for _ in range(n_samples)
+    ]
+    return model, records
+
+
 TINY_TRAIN = dict(epochs=6, batch_size=2, warmup_epochs=2, seed=3)
 
 
@@ -414,10 +432,13 @@ class TestTrainLoop:
         for p, old in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, old)
 
-    def test_tape_is_freed_per_sample(self, tmp_path, monkeypatch):
-        # One sample's tape is alive at a time: backward runs once per
-        # sample, leaves the tape empty, and never sees more entries at
-        # batch size 4 than at batch size 1.
+    def test_tape_is_bounded_by_the_micro_batch(self, tmp_path,
+                                                 monkeypatch):
+        # One micro-batch's tape is alive at a time: backward runs once per
+        # micro-batch, leaves the tape empty, and never sees more entries at
+        # batch size 64 than at batch size m.
+        m = tr.micro_batch_size(DEMO, 64)
+
         def longest_tape(batch_size):
             seen = []
 
@@ -427,21 +448,59 @@ class TestTrainLoop:
                 assert len(active_tape()) == 0
 
             monkeypatch.setattr(tr, "backward", recording_backward)
-            model, records = tiny_setup()
-            cfg = tr.TrainConfig(**{**TINY_TRAIN, "epochs": 3,
-                                    "batch_size": batch_size})
+            model, records = demo_setup(5)
+            cfg = tr.TrainConfig(epochs=2, batch_size=batch_size,
+                                 warmup_epochs=1, seed=3)
             tr.train_loop(model, records, cfg, tmp_path / f"{batch_size}.csv",
                           tmp_path / f"{batch_size}.ckpt")
-            assert len(seen) == 3 * len(records)
+            assert len(seen) == 2 * math.ceil(len(records) / m)
             return max(seen)
 
-        assert longest_tape(4) == longest_tape(1) > 0
+        assert m == 2
+        assert longest_tape(64) == longest_tape(m) > 0
 
     def test_empty_dataset_rejected(self, tmp_path):
         model, _ = tiny_setup()
         with pytest.raises(DataError):
             tr.train_loop(model, [], tr.TrainConfig(**TINY_TRAIN),
                           tmp_path / "log.csv", tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("config, batch_size, expected", [
+    (ModelConfig(), 16, 1),
+    (DEMO, 16, 2),
+    (ModelConfig(n_classes=3, dim=16, depth_temporal=1, depth_spatial=1,
+                 n_heads=2, mlp_ratio=2, input_shape=(6, 6, 6, 2)), 16, 12),
+    (ModelConfig(n_classes=3, dim=8, depth_temporal=1, depth_spatial=1,
+                 n_heads=2, mlp_ratio=4, input_shape=(3, 4, 4, 2)), 16, 16),
+    (DEMO, 1, 1),
+], ids=["reference", "demo", "acceptance-7", "acceptance-toy", "batch-1"])
+def test_micro_batch_rule_is_pinned(config, batch_size, expected):
+    assert tr.micro_batch_size(config, batch_size) == expected
+
+
+def test_resume_with_uneven_micro_batches_is_bitwise(tmp_path):
+    # Batches of 3 split into micro-batches of 2 and 1, and the epoch's
+    # last batch holds 1 sample; stopping after epoch 1 and resuming lands
+    # on the uninterrupted run's files byte for byte.
+    cfg = tr.TrainConfig(epochs=3, batch_size=3, warmup_epochs=1, seed=4)
+    assert tr.micro_batch_size(DEMO, cfg.batch_size) == 2
+
+    def run(tag, **kwargs):
+        model, records = demo_setup(7)
+        tr.train_loop(model, records, cfg, tmp_path / tag / "metrics.csv",
+                      tmp_path / tag / "best.ckpt",
+                      state_path=tmp_path / tag / "train.state", **kwargs)
+
+    for tag in ("full", "part"):
+        (tmp_path / tag).mkdir()
+    run("full")
+    run("part", stop_after_epoch=1)
+    assert len((tmp_path / "part" / "metrics.csv").read_text().splitlines()) == 1
+    run("part", resume=True)
+    for name in ("metrics.csv", "best.ckpt", "train.state"):
+        assert ((tmp_path / "full" / name).read_bytes()
+                == (tmp_path / "part" / name).read_bytes()), name
 
 
 class TestEvaluate:
