@@ -8,6 +8,12 @@ read only at its leading tokens runs its last block as class attention
 (CaiT, arXiv 2103.17239): those tokens query, every token is a key and a
 value, and the other rows are never computed. No dropout anywhere; the
 training recipe this package implements uses none.
+
+Attention and the MLP are one tape primitive each (``tensor.attention``,
+``tensor.mlp``). Neither keeps its large intermediates for backward:
+attention keeps each softmax row's max and sum instead of the
+probabilities, and the MLP keeps the fc1 product instead of the GELU output
+and slope. Backward rebuilds them, with the same bits.
 """
 
 from __future__ import annotations
@@ -66,6 +72,11 @@ class MSAWeights:
     """Query/key/value/output projections for multi-headed self-attention.
 
     ``heads`` must divide ``dim``; ``ModelConfig`` is the gate for that.
+    The key bias cannot change an output: it adds the same ``q . b`` to
+    every score of a query, which the softmax cancels, so ``k.bias`` gets
+    only rounding noise as its gradient. It stays because dropping it would
+    change the checkpoint layout and ACCEPTANCE 1's reference parameter
+    count (1,631,172).
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -146,7 +157,8 @@ def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False,
 
 
 def mlp_forward(z: Tensor, w: MLPWeights) -> Tensor:
-    return w.fc2(T.gelu(w.fc1(z)))
+    """``fc2(gelu(fc1(z)))`` as one ``tensor.mlp`` op."""
+    return T.mlp(z, w.fc1.weight, w.fc1.bias, w.fc2.weight, w.fc2.bias)
 
 
 def transformer_block(z: Tensor, w: BlockWeights,

@@ -1,9 +1,10 @@
 """Dense float tensors with tape-based reverse-mode differentiation.
 
 The model code in this package is written against a deliberately small set of
-primitives: elementwise arithmetic, (batched) matmul, affine and multi-head
-attention, reshape/transpose/concat style layout ops, reductions, and the
-nonlinearities a pre-norm transformer needs (softmax, layer norm, GELU).
+primitives: elementwise arithmetic, (batched) matmul, affine, multi-head
+attention and the two-layer GELU MLP, reshape/transpose/concat style layout
+ops, reductions, and the nonlinearities a pre-norm transformer needs
+(softmax, layer norm, GELU).
 Every primitive wraps its output through one constructor, ``_op``, which
 alone decides whether the op is recorded: only when grad mode is on (see
 :class:`no_grad`) and some input requires a gradient. A recorded op puts its
@@ -17,13 +18,18 @@ carries a ``grad`` and a dtype but no data; a trainable leaf is its own slot.
 Closures receive their inputs' slots when they run, and capture only shapes
 and the arrays their backward reads. Any other array, such as a residual sum
 or the input of the final norm, is freed as soon as the forward code drops
-it.
+it. Where an array is large and cheap to rebuild, the backward rebuilds it
+from a smaller one with the forward's own ops, so the bits are the same:
+:func:`mlp` keeps its input and the fc1 product, not the GELU output or
+slope, and :func:`attention` keeps q, k, v and each softmax row's max and
+sum, not the probabilities.
 
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
 noise; nothing in the training path uses it. The dtype also selects the GELU
 kernel: float64 uses the standard library's ``math.erf`` elementwise, float32
-a rational approximation evaluated in cache-sized blocks (see :func:`gelu`).
+a rational approximation evaluated in cache-sized blocks (see
+:func:`_gelu_into`).
 """
 
 from __future__ import annotations
@@ -426,10 +432,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     over k and v of (..., n_k, d), all three sharing the leading axes.
 
     One op splits heads, scores at 1/sqrt(d / heads), takes the softmax,
-    mixes and merges; its backward keeps only q, k, v and the probabilities.
-    Returns the (..., n_q, d) output and the (..., heads, n_q, n_k)
-    probabilities, a plain array that backward reads. With n_q < n_k this
-    is class attention: only the leading tokens query, every token is a key.
+    mixes and merges. Its backward keeps q, k, v and each softmax row's max
+    and sum, not the probabilities, and rebuilds those with the forward's
+    own ops, so they are the same bits (FlashAttention's row statistics,
+    arXiv 2205.14135). Returns the (..., n_q, d) output and the (..., heads,
+    n_q, n_k) probabilities as a plain array that the tape does not hold.
+    With n_q < n_k this is class attention: only the leading tokens query,
+    every token is a key.
     """
     *lead, n_q, d = q.shape
     if (k.shape != v.shape or k.shape[:-2] != tuple(lead)
@@ -449,11 +458,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     qh, kh, vh = split(q.data, n_q), split(k.data, n_k), split(v.data, n_k)
     p = qh @ np.swapaxes(kh, -1, -2)
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)
+    row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    row_sum = p.sum(axis=-1, keepdims=True)
+    p /= row_sum
 
     def back(g, sq, sk, sv):
+        p = qh @ np.swapaxes(kh, -1, -2)
+        p *= scale
+        p -= row_max
+        np.exp(p, out=p)
+        p /= row_sum
         gm = split(g, n_q)
         if sv is not None:
             _accum(sv, merge(np.swapaxes(p, -1, -2) @ gm, n_k), owned=True)
@@ -470,6 +486,62 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
             _accum(sk, merge(gk, n_k), owned=True)
 
     return _op(merge(p @ vh, n_q), (q, k, v), back), p
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``affine(gelu(affine(x, w1, b1)), w2, b2)`` as one op that keeps only
+    ``x`` and the fc1 product ``h`` (selective recomputation, arXiv
+    2205.05198).
+
+    The forward takes the activation through :func:`gelu` under
+    :class:`no_grad`; unrecorded, it drops ``h`` before the fc2 GEMM. The
+    backward rebuilds the activation and GELU's slope from ``h`` with the
+    same kernel, then runs the unfused form's GEMMs on the same operands,
+    so the output and every gradient are the same bits as the three ops'.
+    The rebuilt activation is freed after fc2's weight gradient, and the
+    fc1 gradient is scaled by the slope in place.
+    """
+    (k, hidden), n, lead = w1.shape, w2.shape[-1], x.shape[:-1]
+    if x.shape[-1] != k or w2.shape[0] != hidden:
+        raise ShapeError(f"mlp cannot take input {x.shape} through weights "
+                         f"{w1.shape} and {w2.shape}")
+    m = math.prod(lead)
+    x_data, w1_data, w2_data, b1_shape, b2_shape = (
+        x.data, w1.data, w2.data, b1.shape, b2.shape)
+    h = x_data.reshape(m, k) @ w1_data
+    h += b1.data
+    with no_grad():
+        act = gelu(Tensor(h)).data
+
+    def back(g, sx, sw1, sb1, sw2, sb2):
+        g2d = g.reshape(m, n)
+        act = np.empty_like(h)
+        slope = None if sx is sw1 is sb1 is None else np.empty_like(h)
+        _gelu_into(h, act, slope)
+        if sw2 is not None:
+            _accum(sw2, act.T @ g2d, owned=True)
+        del act
+        if sb2 is not None:
+            _accum(sb2, _unbroadcast(g, b2_shape))
+        if slope is None:
+            return
+        gh = g2d @ w2_data.T
+        gh *= slope
+        del slope
+        if sx is not None:
+            _accum(sx, (gh @ w1_data.T).reshape(x_data.shape), owned=True)
+        if sw1 is not None:
+            _accum(sw1, x_data.reshape(m, k).T @ gh, owned=True)
+        if sb1 is not None:
+            _accum(sb1, _unbroadcast(gh.reshape(lead + (hidden,)), b1_shape))
+
+    out_data = np.empty((m, n), np.result_type(act, w2_data))
+    out = _op(out_data.reshape(lead + (n,)), (x, w1, b1, w2, b2), back)
+    if not out.requires_grad:
+        h = None
+    np.matmul(act, w2_data, out=out_data)
+    out_data += b2.data
+    return out
 
 
 # -- layout ops ----------------------------------------------------------------
@@ -724,41 +796,50 @@ def _gelu_slope(x: np.ndarray, phi_cdf: np.ndarray,
     return out
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: ``x * Phi(x)``.
+def _gelu_into(x: np.ndarray, out: np.ndarray,
+               slope: np.ndarray | None = None) -> None:
+    """The GELU kernel: ``x * Phi(x)`` into ``out`` and, if given, the
+    derivative (:func:`_gelu_slope`) into ``slope``.
 
-    float64 input takes ``Phi`` from ``math.erf``, one call per element
-    (about 0.1 us each; only float64 reference runs pay it); float32 input
-    from :func:`_phi_f32`, one block of ``_GELU_BLOCK`` elements at a time,
-    written into the output of an already-wrapped op. That op's
-    ``requires_grad`` says whether it was recorded. Only then does the
-    forward also compute the derivative (:func:`_gelu_slope`, block by block
-    for float32), which is all the backward keeps: it is one multiply, and
-    neither the input nor ``Phi`` outlives the forward.
+    float64 takes ``Phi`` from ``math.erf``, one call per element (about
+    0.1 us each; only float64 reference runs pay it); float32 from
+    :func:`_phi_f32`, one block of ``_GELU_BLOCK`` elements at a time.
+    ``out`` and ``slope`` are C-contiguous arrays of ``x``'s shape.
     """
-    x = a.data
-
-    def back(g, sa):
-        _accum(sa, g * slope, owned=True)
-
     if x.dtype == np.float64:
         # Iterating .flat builds no array of Python floats (np.vectorize does).
         erf = np.fromiter(map(math.erf, (x * _INV_SQRT2).flat), np.float64,
                           count=x.size)
         phi_cdf = 0.5 * (1.0 + erf.reshape(x.shape))
-        out = _op(x * phi_cdf, (a,), back)
-        if out.requires_grad:
-            slope = _gelu_slope(x, phi_cdf, np.empty_like(x))
-        return out
-    out = _op(np.empty(x.shape, x.dtype), (a,), back)
-    flat, out_flat = x.reshape(-1), out.data.reshape(-1)
-    slope_flat = np.empty_like(flat) if out.requires_grad else None
+        np.multiply(x, phi_cdf, out=out)
+        if slope is not None:
+            _gelu_slope(x, phi_cdf, slope)
+        return
+    flat, out_flat = x.reshape(-1), out.reshape(-1)
+    slope_flat = None if slope is None else slope.reshape(-1)
     for i in range(0, flat.size, _GELU_BLOCK):
         s = slice(i, i + _GELU_BLOCK)
         phi = _phi_f32(flat[s])
         np.multiply(flat[s], phi, out=out_flat[s])
         if slope_flat is not None:
             _gelu_slope(flat[s], phi, slope_flat[s])
-    if slope_flat is not None:
-        slope = slope_flat.reshape(x.shape)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Exact Gaussian-CDF GELU: ``x * Phi(x)``, by :func:`_gelu_into`.
+
+    The kernel writes into the output of an already-wrapped op. That op's
+    ``requires_grad`` says whether it was recorded. Only then does the
+    forward also compute the derivative, which is all the backward keeps:
+    it is one multiply, and neither the input nor ``Phi`` outlives the
+    forward.
+    """
+    x = a.data
+
+    def back(g, sa):
+        _accum(sa, g * slope, owned=True)
+
+    out = _op(np.empty(x.shape, x.dtype), (a,), back)
+    slope = np.empty(x.shape, x.dtype) if out.requires_grad else None
+    _gelu_into(x, out.data, slope)
     return out

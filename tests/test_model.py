@@ -485,8 +485,8 @@ def test_batched_float32_logits_match_one_sample_calls():
 
 
 def test_demo_forward_tape_size_is_pinned():
-    # The README run.cfg model. Per micro-batch, whatever its size: 25
-    # affine, 4 attention, 10 layer_norm, 4 gelu, 11 add, 5 reshape, 5
+    # The README run.cfg model. Per micro-batch, whatever its size: 17
+    # affine, 4 attention, 4 mlp, 10 layer_norm, 11 add, 5 reshape, 5
     # getitem, 3 transpose, 2 concat, 2 broadcast_to and 1 matmul (the
     # head). The getitem are the date lookup, the cls rows that query and
     # enter the residual in the last temporal block, and the spatial readout
@@ -501,10 +501,10 @@ def test_demo_forward_tape_size_is_pinned():
     tape = active_tape()
     try:
         m.forward(toy_series(cfg, seed=2), model)
-        assert len(tape) == 73
+        assert len(tape) == 65
         tape.clear()
         m.forward([toy_series(cfg, seed=s) for s in (2, 3)], model)
-        assert len(tape) == 72
+        assert len(tape) == 64
     finally:
         tape.clear()
 

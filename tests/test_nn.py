@@ -305,10 +305,29 @@ class TestTapeMemory:
         finally:
             tape.clear()
 
+    @pytest.mark.parametrize("keep", [None, 2])
+    def test_block_keeps_no_probabilities_and_one_hidden_array(self, keep):
+        # Attention keeps its softmax rows' max and sum, not the (..., heads,
+        # n_q, n_k) probabilities; the MLP keeps its pre-activation, not the
+        # GELU output or slope. Both are rebuilt in backward.
+        block = nn.BlockWeights(8, 2, 4, np.random.default_rng(33))
+        params = {id(p.data) for _, p in nn.named_parameters(block, "b")}
+        z = random_tokens((2, 5, 8), seed=34)
+        n_q = 5 if keep is None else keep
+        nn.transformer_block(z, block, keep=keep)
+        tape = T.active_tape()
+        assert len(tape) > 0
+        held = [v for _, back, _ in tape for v in reachable(back)
+                if isinstance(v, np.ndarray) and id(v) not in params]
+        assert not [a for a in held if a.shape[-3:] == (2, n_q, 5)]
+        hidden = [a.shape for a in held if a.shape[-1] == 32]
+        assert hidden == [(2 * n_q, 32)]
+
     def test_warm_forward_retains_little(self):
-        # A warm demo forward with grad on keeps 1.01 MB until backward. The
+        # A warm demo forward with grad on keeps 0.79 MB until backward. The
         # bound leaves a margin because Python object sizes vary by version,
-        # yet fails a last temporal block that runs every token (1.25 MB).
+        # yet fails a tape that keeps every block's GELU output and slope and
+        # its attention probabilities (1.01 MB).
         model, series = demo_model_and_series()
         tape = T.active_tape()
         try:
@@ -324,4 +343,4 @@ class TestTapeMemory:
         finally:
             tape.clear()
         assert logits.requires_grad
-        assert kept <= 1.15e6
+        assert kept <= 0.9e6

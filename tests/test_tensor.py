@@ -18,7 +18,8 @@ def t64(arr, requires_grad=True):
 
 
 # Every differentiable primitive, as (call, input shapes): matmul against a
-# 2-D and a 3-D right operand, layer_norm with and without its affine.
+# 2-D and a 3-D right operand, layer_norm with and without its affine. The
+# no-grad case trains only the last input, so mlp's backward then skips GELU.
 PRIMITIVE_CASES = {
     "add": (T.add, [(2, 3), (3,)]),
     "sub": (T.sub, [(2, 3), (2, 3)]),
@@ -30,6 +31,7 @@ PRIMITIVE_CASES = {
     "matmul_2d": (T.matmul, [(2, 3, 4), (4, 5)]),
     "matmul_3d": (T.matmul, [(2, 3, 4), (2, 4, 5)]),
     "affine": (T.affine, [(2, 3, 4), (4, 5), (5,)]),
+    "mlp": (T.mlp, [(2, 3, 4), (4, 6), (6,), (6, 5), (5,)]),
     "attention": (lambda q, k, v: T.attention(q, k, v, 2)[0],
                   [(2, 3, 4), (2, 3, 4), (2, 3, 4)]),
     "attention_cls": (lambda q, k, v: T.attention(q, k, v, 2)[0],
@@ -249,6 +251,37 @@ class TestFusedOps:
             assert fused.dtype == np.float32
             np.testing.assert_array_equal(fused, composed)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mlp_matches_affine_gelu_affine_bitwise(self, dtype):
+        # The hidden activation spans two GELU blocks; float64 checks that the
+        # rebuilt slope takes math.erf as gelu does. The second input is the
+        # first two tokens of each sample, the rows class attention keeps.
+        rng = np.random.default_rng(13)
+
+        def leaf(*shape):
+            return Tensor(rng.standard_normal(shape).astype(dtype),
+                          requires_grad=True)
+
+        z, w1, b1, w2, b2 = leaves = [leaf(4, 70, 16), leaf(16, 128),
+                                      leaf(128), leaf(128, 16), leaf(16)]
+        assert 4 * 70 * 128 > T._GELU_BLOCK
+
+        def composed(x, w1, b1, w2, b2):
+            return T.affine(T.gelu(T.affine(x, w1, b1)), w2, b2)
+
+        for rows in (slice(None), slice(0, 2)):
+            runs = []
+            for fn in (T.mlp, composed):
+                out = fn(T.getitem(z, (slice(None), rows)), w1, b1, w2, b2)
+                coef = np.random.default_rng(14).standard_normal(out.shape)
+                backward((out * Tensor(coef, dtype=dtype)).sum())
+                runs.append([out.data] + [t.grad for t in leaves])
+                for t in leaves:
+                    t.zero_grad()
+            for fused, unfused in zip(*runs):
+                assert fused.dtype == dtype
+                np.testing.assert_array_equal(fused, unfused)
+
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 3, 4)))
         with pytest.raises(ShapeError):
@@ -257,6 +290,10 @@ class TestFusedOps:
             T.attention(x, x, x, 3)
         with pytest.raises(ShapeError):
             T.attention(x, x, Tensor(np.zeros((2, 4, 4))), 2)
+        for w1, w2 in (((5, 6), (6, 4)), ((4, 6), (5, 4))):
+            with pytest.raises(ShapeError, match="mlp"):
+                T.mlp(x, Tensor(np.zeros(w1)), Tensor(np.zeros(6)),
+                      Tensor(np.zeros(w2)), Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("q, k, v", [
         ((2, 2, 4), (2, 3, 4), (2, 4, 4)),  # k and v disagree in length
