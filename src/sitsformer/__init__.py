@@ -46,7 +46,6 @@ from .model import (
 from .nn import (
     Affine,
     BlockWeights,
-    EncoderWeights,
     MSAWeights,
     encoder_forward,
     msa_forward,
@@ -73,7 +72,6 @@ __all__ = [
     "ConfusionMatrix",
     "DataError",
     "DatasetManifest",
-    "EncoderWeights",
     "FormatError",
     "MSAWeights",
     "MetricError",

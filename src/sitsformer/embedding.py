@@ -25,8 +25,8 @@ def tokenize_sits(values: Tensor, patch, embed: Affine) -> Tensor:
     """Cut (B, T, H, W, C) into patches and project each to the model width.
 
     Returns a (B, N_T, N_H, N_W, d) grid in (sample, time, row, col) order.
-    Frames beyond N_T * t are dropped. ``ModelConfig`` and ``check_series``
-    fix the shapes; a frame the patch does not divide fails in ``reshape``.
+    ``ModelConfig`` and ``check_series`` fix the shapes; a series the patch
+    does not divide fails in ``reshape``.
     """
     if not isinstance(values, Tensor):
         values = Tensor(values)
@@ -34,8 +34,6 @@ def tokenize_sits(values: Tensor, patch, embed: Affine) -> Tensor:
     B, T, H, W, C = values.shape
     flat = t * h * w * C
     n_t, n_h, n_w = T // t, H // h, W // w
-    if n_t * t != T:
-        values = getitem(values, (slice(None), slice(0, n_t * t)))
     x = reshape(values, (B, n_t, t, n_h, h, n_w, w, C))
     x = transpose(x, (0, 1, 3, 5, 2, 4, 6, 7))
     x = reshape(x, (B, n_t, n_h, n_w, flat))
@@ -60,10 +58,6 @@ class TemporalPositionTable:
         self.keys = np.sort(keys)
         self.table = trunc_normal(rng, (keys.size, dim), dtype)
 
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
     def row_indices(self, dates) -> np.ndarray:
         """Map each date to its table row (nearest key, ties to earlier);
         any shape of dates, such as (B, T), gives rows of that shape."""
@@ -76,19 +70,6 @@ class TemporalPositionTable:
 
     def __call__(self, dates) -> Tensor:
         return getitem(self.table, self.row_indices(dates))
-
-
-class ClsTokenBank:
-    """Learned class tokens: one per class for each encoder stage.
-
-    temporal: (K, d), prepended to every location's token series.
-    spatial: (K, 1, d), one global readout token per class map.
-    """
-
-    def __init__(self, n_cls: int, dim: int, rng: np.random.Generator,
-                 dtype=DEFAULT_DTYPE):
-        self.temporal = trunc_normal(rng, (n_cls, dim), dtype)
-        self.spatial = trunc_normal(rng, (n_cls, 1, dim), dtype)
 
 
 def build_temporal_input(grid: Tensor, pe: Tensor, cls_tokens: Tensor) -> Tensor:

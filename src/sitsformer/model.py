@@ -23,21 +23,19 @@ streams may attend to each other.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from . import container, nn
 from .data import SitsSeries
 from .embedding import (
-    ClsTokenBank,
     TemporalPositionTable,
     build_spatial_input,
     build_temporal_input,
     tokenize_sits,
 )
 from .errors import ConfigError, ShapeError
-from .nn import Affine, EncoderWeights, encoder_forward, trunc_normal
+from .nn import Affine, BlockWeights, encoder_forward, trunc_normal
 from .tensor import DEFAULT_DTYPE, Tensor, getitem, matmul, reshape, tmean, transpose
 
 # Each choice field of ModelConfig and its allowed values, in field order.
@@ -101,14 +99,11 @@ class ModelConfig:
             raise ConfigError(
                 f"input_shape must be (T, H, W, C), got {self.input_shape}"
             )
-        t, h, w = self.patch
-        T, H, W, _ = self.input_shape
-        if H % h != 0 or W % w != 0:
+        if any(n % p for n, p in zip(self.input_shape, self.patch)):
             raise ConfigError(
-                f"patch ({h}, {w}) must divide the frame: H={H}, W={W}"
+                f"patch {self.patch} must divide (T, H, W) = "
+                f"{self.input_shape[:3]}"
             )
-        if T // t < 1:
-            raise ConfigError(f"patch t={t} leaves no frames from T={T}")
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -169,7 +164,7 @@ def parameter_count(config: ModelConfig, n_temporal_keys=None) -> int:
         (config.patch_flat * d + d)                       # patch projection
         + n_temporal_keys * d                             # temporal table
         + config.n_locations * d                          # spatial table
-        + 2 * s * d                                       # cls token banks
+        + 2 * s * d                                       # class tokens
         + (config.depth_temporal + config.depth_spatial) * per_block
         + s * (d * config.head_width + config.head_width)  # head projectors
     )
@@ -178,15 +173,16 @@ def parameter_count(config: ModelConfig, n_temporal_keys=None) -> int:
 class SitsFormer:
     """Model weights plus the forward wiring selected by its config."""
 
-    # Checkpoint name prefix -> attribute path, in file order. The prefixes
-    # are the file format's; everything below them is the attribute walk.
+    # Checkpoint name prefix -> attribute, in file order. The prefixes are
+    # the file format's; everything below them is the attribute walk.
     _PARAMETER_PREFIXES = (
         ("embed", "embed"),
         ("pe_temporal", "temporal_pe"),
         ("pe_spatial.table", "spatial_pe"),
-        ("cls", "cls"),
-        ("temporal", "temporal_encoder.blocks"),
-        ("spatial", "spatial_encoder.blocks"),
+        ("cls.temporal", "cls_temporal"),
+        ("cls.spatial", "cls_spatial"),
+        ("temporal", "temporal_encoder"),
+        ("spatial", "spatial_encoder"),
         ("head.weight", "head_weight"),
         ("head.bias", "head_bias"),
     )
@@ -202,13 +198,17 @@ class SitsFormer:
         self.embed = Affine(config.patch_flat, d, rng, dtype)
         self.temporal_pe = TemporalPositionTable(temporal_keys, d, rng, dtype)
         self.spatial_pe = trunc_normal(rng, (config.n_locations, d), dtype)
-        self.cls = ClsTokenBank(config.n_streams, d, rng, dtype)
-        self.temporal_encoder = EncoderWeights(
-            d, config.depth_temporal, config.n_heads, config.mlp_ratio, rng, dtype
-        )
-        self.spatial_encoder = EncoderWeights(
-            d, config.depth_spatial, config.n_heads, config.mlp_ratio, rng, dtype
-        )
+        # Class tokens: (K, d) before each location's series, (K, 1, d) per map.
+        self.cls_temporal = trunc_normal(rng, (config.n_streams, d), dtype)
+        self.cls_spatial = trunc_normal(rng, (config.n_streams, 1, d), dtype)
+        self.temporal_encoder = [
+            BlockWeights(d, config.n_heads, config.mlp_ratio, rng, dtype)
+            for _ in range(config.depth_temporal)
+        ]
+        self.spatial_encoder = [
+            BlockWeights(d, config.n_heads, config.mlp_ratio, rng, dtype)
+            for _ in range(config.depth_spatial)
+        ]
         self.head_weight = trunc_normal(
             rng, (config.n_streams, d, config.head_width), dtype
         )
@@ -218,8 +218,8 @@ class SitsFormer:
         )
 
     def named_parameters(self):
-        for prefix, path in self._PARAMETER_PREFIXES:
-            yield from nn.named_parameters(attrgetter(path)(self), prefix)
+        for prefix, name in self._PARAMETER_PREFIXES:
+            yield from nn.named_parameters(getattr(self, name), prefix)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -229,14 +229,13 @@ class SitsFormer:
             p.zero_grad()
 
     def _temporal_query(self, dates) -> np.ndarray:
-        """The (B, n_frames) table keys of (B, T) dates."""
+        """Each patch's first day: the (B, n_frames) keys of (B, T) dates."""
         dates = np.asarray(dates)
         if self.config.pe_mode == "static":
             # Ordinal positions stand in for days: row i for frame i.
             return np.broadcast_to(np.arange(self.config.n_frames),
                                    (len(dates), self.config.n_frames))
-        t = self.config.patch[0]
-        return dates[:, ::t][:, : self.config.n_frames]
+        return dates[:, ::self.config.patch[0]]
 
 
 def count_parameters(model: SitsFormer) -> int:
@@ -263,7 +262,7 @@ def temporal_encode(values, dates, model: SitsFormer) -> Tensor:
         x = encoder_forward(x, model.spatial_encoder)
         grid = reshape(x, (b, n_t, gh, gw, d))
     pe = model.temporal_pe(model._temporal_query(dates))
-    z = build_temporal_input(grid, pe, model.cls.temporal)
+    z = build_temporal_input(grid, pe, model.cls_temporal)
     return encoder_forward(z, model.temporal_encoder, keep=cfg.n_streams)
 
 
@@ -277,7 +276,7 @@ def spatial_encode(z: Tensor, model: SitsFormer):
     sample's streams into one joint sequence.
     """
     cfg = model.config
-    zs = build_spatial_input(z, model.spatial_pe, model.cls.spatial)
+    zs = build_spatial_input(z, model.spatial_pe, model.cls_spatial)
     b, s, n, d = zs.shape
     if cfg.cls_interactions == "full":
         zs = reshape(zs, (b, s * n, d))

@@ -116,19 +116,6 @@ class BlockWeights:
         self.mlp = MLPWeights(dim, mlp_ratio * dim, rng, dtype)
 
 
-class EncoderWeights:
-    """A stack of ``depth`` blocks sharing one feature width.
-
-    The final norm has no scale or shift: whatever reads the encoder out is
-    affine, so a learned one there would add nothing.
-    """
-
-    def __init__(self, dim: int, depth: int, heads: int, mlp_ratio: int,
-                 rng: np.random.Generator, dtype=DEFAULT_DTYPE):
-        self.blocks = [BlockWeights(dim, heads, mlp_ratio, rng, dtype)
-                       for _ in range(depth)]
-
-
 def _leading(z: Tensor, keep: int | None) -> Tensor:
     """The first ``keep`` tokens of (..., n, d); all of them if ``keep`` is
     None."""
@@ -173,10 +160,13 @@ def transformer_block(z: Tensor, w: BlockWeights,
     return mlp_forward(T.layer_norm(y, w.ln2.gamma, w.ln2.beta), w.mlp) + y
 
 
-def encoder_forward(z: Tensor, w: EncoderWeights,
+def encoder_forward(z: Tensor, blocks: list[BlockWeights],
                     keep: int | None = None) -> Tensor:
     """Run the blocks and the final norm on the first ``keep`` tokens
     (default all).
+
+    The final norm has no scale or shift: whatever reads the encoder out is
+    affine, so a learned one there would add nothing.
 
     A caller that reads only the leading tokens passes ``keep``, and the
     last block runs as class attention (CaiT, arXiv 2103.17239): only the
@@ -185,8 +175,8 @@ def encoder_forward(z: Tensor, w: EncoderWeights,
     slicing before the final norm, since nothing after the last attention
     mixes tokens. An encoder with no blocks just slices.
     """
-    if not w.blocks:
+    if not blocks:
         return _leading(z, keep)
-    for block in w.blocks[:-1]:
+    for block in blocks[:-1]:
         z = transformer_block(z, block)
-    return T.layer_norm(transformer_block(z, w.blocks[-1], keep), None, None)
+    return T.layer_norm(transformer_block(z, blocks[-1], keep), None, None)

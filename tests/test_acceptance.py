@@ -156,7 +156,7 @@ def test_factorization_structure():
     g1, l1 = spatial_encode(Tensor(z_np), model)
     poked = z_np.copy()
     poked[:, :, 1, :] = rng.standard_normal((4, 8))
-    model.cls.spatial.data[1] += 3.0
+    model.cls_spatial.data[1] += 3.0
     g2, l2 = spatial_encode(Tensor(poked), model)
     for stream in (0, 2):
         np.testing.assert_array_equal(g1.data[:, stream], g2.data[:, stream])
@@ -168,8 +168,8 @@ def test_factorization_structure():
     series = _toy_series(seed=12)
     base = forward(series, model)
     perm = np.array([2, 0, 1])
-    model.cls.temporal.data[:] = model.cls.temporal.data[perm]
-    model.cls.spatial.data[:] = model.cls.spatial.data[perm]
+    model.cls_temporal.data[:] = model.cls_temporal.data[perm]
+    model.cls_spatial.data[:] = model.cls_spatial.data[perm]
     model.head_weight.data[:] = model.head_weight.data[perm]
     model.head_bias.data[:] = model.head_bias.data[perm]
     out = forward(series, model)

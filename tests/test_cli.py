@@ -370,6 +370,7 @@ GENERATE_ARGS = ["generate", "--n-samples", "2", "--n-classes", "2"]
     ["train", "n_heads=0"],
     ["train", "n_heads=-2"],
     ["train", "mlp_ratio=-1"],
+    ["train", "patch=3,2,2"],
     ["train", "warmup_epochs=-1"],
     ["train", "warmup_epochs=3"],
     ["train", "seed=-1"],

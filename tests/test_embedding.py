@@ -94,12 +94,12 @@ class TestTokenize:
             np.testing.assert_array_equal(grid.data[b, 0, 0, 0],
                                           x[b, :2].ravel())
 
-    def test_trailing_frames_dropped(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((1, 5, 2, 2, 1)).astype(np.float32)
-        aff = identity_affine(8)
-        grid = emb.tokenize_sits(Tensor(x), (2, 2, 2), aff)
-        assert grid.shape == (1, 2, 1, 1, 8)
+    def test_indivisible_time_fails_in_reshape(self):
+        # ModelConfig rejects a t that does not divide T; a direct call
+        # fails at the first reshape.
+        x = Tensor(np.zeros((1, 5, 2, 2, 1), dtype=np.float32))
+        with pytest.raises(ShapeError, match="cannot reshape"):
+            emb.tokenize_sits(x, (2, 2, 2), identity_affine(8))
 
 
 class TestTemporalTable:

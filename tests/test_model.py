@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 from _formats import FORMATS, HEADER_FORMATS, HEADER_TEXT_OFFSET
+from _gradcheck import check_gradients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,46 @@ class TestConfig:
             config_from_items(m.ModelConfig, [("mystery", "1")])
 
 
+class TestTemporalPatch:
+    """A temporal patch t > 1: each token covers t consecutive frames."""
+
+    def test_t_must_divide_frames(self):
+        with pytest.raises(ConfigError, match="must divide"):
+            m.ModelConfig(**{**TOY, "patch": (3, 2, 2)})
+        assert m.ModelConfig(**{**TOY, "patch": (2, 2, 2)}).n_frames == 2
+
+    def test_query_is_the_first_day_of_each_frame_pair(self):
+        model = toy_model(patch=(2, 2, 2))
+        dates = np.array([[12, 80, 151, 240], [3, 9, 27, 81]])
+        np.testing.assert_array_equal(model._temporal_query(dates),
+                                      [[12, 151], [3, 27]])
+
+    @pytest.mark.parametrize("factorization", m.CHOICES["factorization"])
+    def test_forward_shapes(self, factorization):
+        model = toy_model(patch=(2, 2, 2), factorization=factorization)
+        series = toy_series(model.config)
+        assert encode(series, model).shape == (1, 4, 3, 8)
+        assert m.forward(series, model).shape == (4, 4, 3)
+        model = toy_model(patch=(2, 2, 2), factorization=factorization,
+                          task="classification")
+        assert m.forward(series, model).shape == (3,)
+
+    def test_gradcheck(self):
+        cfg = m.ModelConfig(**{**TOY, "patch": (2, 2, 2)})
+        model = m.SitsFormer(cfg, temporal_keys=[20, 150], seed=3,
+                             dtype=np.float64)
+        rng = np.random.default_rng(5)
+        series = SitsSeries(rng.standard_normal(cfg.input_shape),
+                            [12, 80, 151, 240])
+        labels = rng.integers(0, cfg.n_classes + 1, size=(4, 4))
+
+        def make_loss(_):
+            logits = m.forward(series, model)
+            return masked_cross_entropy(logits, labels, cfg.n_classes)
+
+        assert check_gradients(make_loss, model.parameters(), h=1e-4) < 1e-3
+
+
 class TestTemporalEncode:
     def test_output_shape(self):
         model = toy_model()
@@ -83,7 +124,7 @@ class TestTemporalEncode:
         out = encode(toy_series(model.config), model)
         for loc in range(4):
             np.testing.assert_array_equal(out.data[0, loc],
-                                          model.cls.temporal.data)
+                                          model.cls_temporal.data)
 
     def test_joint_time_permutation_invariance(self):
         model = toy_model()
@@ -148,7 +189,7 @@ class TestSpatialEncode:
         g1, l1 = m.spatial_encode(Tensor(z_np), model)
         poked = z_np.copy()
         poked[:, :, 1, :] = rng.standard_normal((4, 8))
-        model.cls.spatial.data[1] += 3.0
+        model.cls_spatial.data[1] += 3.0
         g2, l2 = m.spatial_encode(Tensor(poked), model)
         for j in (0, 2):
             np.testing.assert_array_equal(g1.data[:, j], g2.data[:, j])
@@ -207,7 +248,7 @@ class TestHeads:
 
     def test_single_cls_segmentation_shape(self):
         model = toy_model(cls_mode="single")
-        assert model.cls.temporal.shape == (1, 8)
+        assert model.cls_temporal.shape == (1, 8)
         out = m.forward(toy_series(model.config), model)
         assert out.shape == (4, 4, 3)
 
@@ -229,8 +270,8 @@ class TestHeads:
         series = toy_series(model.config, seed=12)
         base = m.forward(series, model)
         perm = np.array([2, 0, 1])
-        model.cls.temporal.data[:] = model.cls.temporal.data[perm]
-        model.cls.spatial.data[:] = model.cls.spatial.data[perm]
+        model.cls_temporal.data[:] = model.cls_temporal.data[perm]
+        model.cls_spatial.data[:] = model.cls_spatial.data[perm]
         model.head_weight.data[:] = model.head_weight.data[perm]
         model.head_bias.data[:] = model.head_bias.data[perm]
         out = m.forward(series, model)

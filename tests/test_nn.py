@@ -18,7 +18,8 @@ from _gradcheck import check_gradients
 
 def make_encoder(dim=8, depth=2, heads=2, mlp_ratio=4, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    return nn.EncoderWeights(dim, depth, heads, mlp_ratio, rng, dtype)
+    return [nn.BlockWeights(dim, heads, mlp_ratio, rng, dtype)
+            for _ in range(depth)]
 
 
 def random_tokens(shape, seed=0, dtype=np.float32):
@@ -105,7 +106,7 @@ class TestBlock:
         enc = make_encoder(dim=8, depth=2, seed=15)
         z = random_tokens((2, 4, 8), seed=16)
         blocks = nn.transformer_block(
-            nn.transformer_block(z, enc.blocks[0]), enc.blocks[1]
+            nn.transformer_block(z, enc[0]), enc[1]
         )
         manual = T.layer_norm(blocks, None, None)
         stacked = nn.encoder_forward(z, enc)
@@ -125,7 +126,7 @@ class TestEncoder:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, rtol=1e-3)
         names = [name for name, _ in nn.named_parameters(enc, "enc")]
-        assert names and all(n.startswith("enc.blocks.0.") for n in names)
+        assert names and all(n.startswith("enc.0.") for n in names)
 
     def test_keep_normalises_only_the_leading_tokens(self):
         enc = make_encoder(dim=8, depth=2, seed=27)
@@ -150,10 +151,10 @@ class TestEncoder:
 
         def sliced_full():
             out = z
-            for block in enc.blocks:
+            for block in enc:
                 out = nn.transformer_block(out, block)
             out = T.getitem(out, (slice(None), slice(0, keep)))
-            return T.layer_norm(out, None, None) if enc.blocks else out
+            return T.layer_norm(out, None, None) if enc else out
 
         runs = []
         for run in (lambda: nn.encoder_forward(z, enc, keep=keep), sliced_full):
