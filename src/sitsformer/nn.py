@@ -6,7 +6,10 @@ to any depth without reshaping. A non-empty encoder ends in a parameter-free
 layer norm, ViT's ``LN(z_L)`` readout (arXiv 2010.11929, Eq. 4). An encoder
 read only at its leading tokens runs its last block as class attention
 (CaiT, arXiv 2103.17239): those tokens query, every token is a key and a
-value, and the other rows are never computed. No dropout anywhere; the
+value, and the other rows are never computed. Every leading axis is a
+batch axis, so a grad-free encoder runs its rows in chunks of at most
+``CHUNK`` input values, and its largest transients scale with the chunk,
+not with the input (:func:`encoder_forward`). No dropout anywhere; the
 training recipe this package implements uses none.
 
 Attention and the MLP are one tape primitive each (``tensor.attention``,
@@ -18,12 +21,18 @@ and slope. Backward rebuilds them, with the same bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
 from .tensor import DEFAULT_DTYPE, Tensor
 
 INIT_STD = 0.02
+# Encoder-input values per chunk of a grad-free encoder (see encoder_forward):
+# at ModelConfig() 29 of the temporal stage's 144 location rows, whose fc1
+# product then takes about 4 MB instead of 20 MB.
+CHUNK = 1 << 18
 
 
 def trunc_normal(rng: np.random.Generator, shape,
@@ -160,6 +169,14 @@ def transformer_block(z: Tensor, w: BlockWeights,
     return mlp_forward(T.layer_norm(y, w.ln2.gamma, w.ln2.beta), w.mlp) + y
 
 
+def _encode(z: Tensor, blocks: list[BlockWeights],
+            keep: int | None) -> Tensor:
+    """The blocks and the final norm over one chunk of rows."""
+    for block in blocks[:-1]:
+        z = transformer_block(z, block)
+    return T.layer_norm(transformer_block(z, blocks[-1], keep), None, None)
+
+
 def encoder_forward(z: Tensor, blocks: list[BlockWeights],
                     keep: int | None = None) -> Tensor:
     """Run the blocks and the final norm on the first ``keep`` tokens
@@ -174,9 +191,26 @@ def encoder_forward(z: Tensor, blocks: list[BlockWeights],
     is a key and a value. This equals running every block in full and
     slicing before the final norm, since nothing after the last attention
     mixes tokens. An encoder with no blocks just slices.
+
+    Every leading axis of (..., n, d) is a batch axis, so with grad off the
+    flattened rows run in chunks of ``max(1, CHUNK // (n * d))`` rows,
+    written into one (rows, keep or n, d) output; the largest transients,
+    such as the MLP's hidden array, scale with the chunk, not with the
+    input. The bits are those of one whole-array run. A row larger than
+    ``CHUNK`` runs alone: under ``cls_interactions=full`` a row is a whole
+    sample, so one sample is never split. With grad on, the whole input is
+    one chunk, so the tape and every gradient are unchanged; one chunk
+    returns the last norm's output as it is.
     """
     if not blocks:
         return _leading(z, keep)
-    for block in blocks[:-1]:
-        z = transformer_block(z, block)
-    return T.layer_norm(transformer_block(z, blocks[-1], keep), None, None)
+    *lead, n, d = z.shape
+    m = math.prod(lead)
+    rows = m if T.grad_enabled() else max(1, CHUNK // (n * d))
+    if rows >= m:
+        return _encode(z, blocks, keep)
+    x = z.data.reshape(m, n, d)
+    out = np.empty((m, n if keep is None else keep, d), x.dtype)
+    for i in range(0, m, rows):
+        out[i:i + rows] = _encode(Tensor(x[i:i + rows]), blocks, keep).data
+    return Tensor(out.reshape(*lead, *out.shape[1:]))

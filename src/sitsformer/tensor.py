@@ -193,6 +193,14 @@ def active_tape() -> list:
     return _state.tape
 
 
+def grad_enabled() -> bool:
+    """Whether the current thread records ops: False inside :class:`no_grad`.
+
+    A new thread starts with grad on, whatever its parent's mode.
+    """
+    return _state.grad_enabled
+
+
 class no_grad:
     """Context manager that suspends tape recording (inference mode)."""
 

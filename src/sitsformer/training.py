@@ -332,7 +332,13 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
 
 
 def evaluate(model: SitsFormer, samples):
-    """One gradient-free pass; returns (OA, mIoU, mAcc, per-class table, cm)."""
+    """One gradient-free pass; returns (OA, mIoU, mAcc, per-class table, cm).
+
+    Samples run in micro-batches by the training rule. Nothing is recorded,
+    so each encoder runs its rows in chunks of at most ``nn.CHUNK`` input
+    values, and its largest transients scale with the chunk, not with the
+    micro-batch.
+    """
     samples = list(samples)
     if not samples:
         raise DataError("evaluation requires at least one sample")

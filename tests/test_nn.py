@@ -198,6 +198,72 @@ class TestEncoder:
         assert check_gradients(loss, params) < 1e-3
 
 
+# 3 samples, 9 locations, 3 streams, 4 frames, dim 8: with CHUNK = 600 every
+# encoder input splits into chunks of CHUNK // (n * d) rows, the last ragged.
+# (rows, n) per encoder: temporal (27, 7) into 10s, blocked spatial (9, 10)
+# into 7s, full spatial (3, 30) into 2s, spatial_first's per-frame stage
+# (12, 9) into 8s.
+CHUNKED = dict(n_classes=3, dim=8, depth_temporal=2, depth_spatial=2,
+               n_heads=2, mlp_ratio=2, patch=(1, 2, 2), input_shape=(4, 6, 6, 2))
+
+
+class TestGradFreeChunks:
+    @pytest.mark.parametrize("task", ["segmentation", "classification"])
+    @pytest.mark.parametrize("interactions", ["blocked", "full"])
+    @pytest.mark.parametrize("order", ["temporal_first", "spatial_first"])
+    def test_chunked_forward_is_bitwise_the_one_chunk_forward(
+            self, monkeypatch, order, interactions, task):
+        cfg = ModelConfig(**CHUNKED, factorization=order, task=task,
+                          cls_interactions=interactions)
+        model = SitsFormer(cfg, seed=3)
+        rng = np.random.default_rng(4)
+        batch = [SitsSeries(rng.standard_normal(cfg.input_shape)
+                            .astype(np.float32), np.array([3, 40, 90, 200]))
+                 for _ in range(3)]
+        firsts = {id(enc[0]) for enc in (model.temporal_encoder,
+                                          model.spatial_encoder)}
+        chunks = []
+        block = nn.transformer_block
+
+        def watched_block(z, w, keep=None):
+            if id(w) in firsts:
+                chunks.append(z.shape[:-1])
+            return block(z, w, keep)
+
+        monkeypatch.setattr(nn, "transformer_block", watched_block)
+        with T.no_grad():
+            whole = forward(batch, model).data
+            monkeypatch.setattr(nn, "CHUNK", 600)
+            chunks.clear()
+            split = forward(batch, model).data
+        assert [len(c) for c in chunks] == [2] * len(chunks)
+        inputs = [(12, 9)] if order == "spatial_first" else []
+        inputs.append((27, 7))
+        if order == "temporal_first":
+            inputs.append((9, 10) if interactions == "blocked" else (3, 30))
+        expected = []
+        for m, n in inputs:
+            rows = 600 // (n * cfg.dim)
+            assert 1 < rows < m and m % rows
+            expected += [(min(rows, m - i), n) for i in range(0, m, rows)]
+        assert chunks == expected
+        assert split.tobytes() == whole.tobytes()
+
+    def test_recording_forward_is_one_chunk(self, monkeypatch):
+        model, series = demo_model_and_series()
+        tape = T.active_tape()
+        try:
+            logits = forward(series, model)
+            entries = len(tape)
+            tape.clear()
+            monkeypatch.setattr(nn, "CHUNK", 1)
+            chunked = forward(series, model)
+            assert len(tape) == entries and chunked.requires_grad
+            assert chunked.data.tobytes() == logits.data.tobytes()
+        finally:
+            tape.clear()
+
+
 class TestParameterWalk:
     def test_names_follow_attribute_order_and_skip_constants(self):
         class Leaf:
@@ -345,3 +411,35 @@ class TestTapeMemory:
             tape.clear()
         assert logits.requires_grad
         assert kept <= 0.9e6
+
+    def test_grad_free_forward_peaks_with_the_chunk(self, monkeypatch):
+        # 256 locations; the temporal encoder's input is 147,456 values
+        # (590 KB). Traced peaks of a warm grad-free forward: 7.68 MB in one
+        # chunk, 2.47 MB at CHUNK = 16 Ki values, growing about 40 B per
+        # CHUNK value (the MLP's fc1 product and GELU output are 4 values
+        # each). The bound allows four input-sized arrays plus 12 float32s
+        # per CHUNK value: 3.15 MB.
+        cfg = ModelConfig(n_classes=2, dim=32, depth_temporal=2,
+                          depth_spatial=2, n_heads=4, mlp_ratio=4,
+                          patch=(1, 2, 2), input_shape=(16, 32, 32, 2))
+        model = SitsFormer(cfg, seed=5)
+        rng = np.random.default_rng(6)
+        series = SitsSeries(rng.standard_normal(cfg.input_shape)
+                            .astype(np.float32), 5 * np.arange(16))
+        monkeypatch.setattr(nn, "CHUNK", 1 << 14)
+        values = cfg.n_locations * (cfg.n_streams + cfg.n_frames) * cfg.dim
+        bound = 4 * (4 * values) + 12 * (4 * nn.CHUNK)
+
+        def peak():
+            with T.no_grad():
+                forward(series, model)
+                tracemalloc.start()
+                try:
+                    forward(series, model)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak() <= bound
+        monkeypatch.setattr(nn, "CHUNK", 1 << 40)
+        assert peak() > 2 * bound

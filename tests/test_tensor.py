@@ -485,6 +485,22 @@ class TestBackward:
         assert len(T.active_tape()) == 0
         assert seen == {"tape": 1, "requires_grad": True}
 
+    def test_grad_enabled_follows_nested_no_grad_per_thread(self):
+        seen = []
+        assert T.grad_enabled()
+        with no_grad():
+            assert not T.grad_enabled()
+            with no_grad():
+                assert not T.grad_enabled()
+            assert not T.grad_enabled()
+            worker = threading.Thread(target=lambda: seen.append(T.grad_enabled()))
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert not T.grad_enabled()
+        assert T.grad_enabled()
+        assert seen == [True]
+
 
 class TestLayoutOps:
     def test_getitem_slice_grad(self):
