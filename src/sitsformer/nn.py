@@ -12,11 +12,15 @@ batch axis, so a grad-free encoder runs its rows in chunks of at most
 not with the input (:func:`encoder_forward`). No dropout anywhere; the
 training recipe this package implements uses none.
 
-Attention and the MLP are one tape primitive each (``tensor.attention``,
-``tensor.mlp``). Neither keeps its large intermediates for backward:
-attention keeps each softmax row's max and sum instead of the
-probabilities, and the MLP keeps the fc1 product instead of the GELU output
-and slope. Backward rebuilds them, with the same bits.
+Each block's two layer norms are parameter-free ``tensor.layer_norm``
+calls. Attention, with LN1's scale and shift and every projection, and the
+MLP, with LN2's scale and shift, are one tape primitive each
+(``tensor.attention``, ``tensor.mlp``). Neither keeps its large
+intermediates for backward: both read the norm's output, which the norm
+keeps anyway, instead of keeping it scaled and shifted; attention keeps q,
+k, v and each softmax row's max and sum instead of the probabilities and
+the merged heads, and the MLP keeps the fc1 product instead of the GELU
+output and slope. Backward rebuilds them, with the same bits.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ class MLPWeights:
 
 
 class NormWeights:
-    """Layer-norm scale and shift, initialised to the identity."""
+    """Layer-norm scale and shift, initialised to the identity; the op that
+    reads the norm applies them."""
 
     def __init__(self, dim: int, dtype=DEFAULT_DTYPE):
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
@@ -133,40 +138,47 @@ def _leading(z: Tensor, keep: int | None) -> Tensor:
     return T.getitem(z, (..., slice(0, keep), slice(None)))
 
 
-def msa_forward(z: Tensor, w: MSAWeights, return_attn: bool = False,
-                keep: int | None = None):
-    """Scaled dot-product attention over the token axis, per head.
+def msa_forward(xhat: Tensor, ln: NormWeights, w: MSAWeights,
+                return_attn: bool = False, keep: int | None = None):
+    """Scaled dot-product attention over the token axis, per head, on the
+    parameter-free layer norm ``xhat`` after ``ln``'s scale and shift.
 
     Heads attend independently at scale 1/sqrt(d / heads), are concatenated,
-    and pass through the output projection. Shape (..., n, d) is preserved:
-    every leading axis is a batch axis. With ``keep`` only the first
-    ``keep`` tokens query, and the output is (..., keep, d); every token is
-    still a key and a value. With ``return_attn`` the (..., heads, n_q, n)
-    attention rows come back too, as a constant tensor: they are not
-    differentiable.
+    and pass through the output projection, all in one ``tensor.attention``
+    op. Shape (..., n, d) is preserved: every leading axis is a batch axis.
+    With ``keep`` only the first ``keep`` tokens query, and the output is
+    (..., keep, d); every token is still a key and a value. With
+    ``return_attn`` the (..., heads, n_q, n) attention rows come back too,
+    as a constant tensor: they are not differentiable.
     """
-    out, attn = T.attention(w.q(_leading(z, keep)), w.k(z), w.v(z), w.heads)
-    out = w.out(out)
+    out, attn = T.attention(xhat, ln.gamma, ln.beta, w.q.weight, w.q.bias,
+                            w.k.weight, w.k.bias, w.v.weight, w.v.bias,
+                            w.out.weight, w.out.bias, w.heads, keep)
     if return_attn:
         return out, Tensor(attn)
     return out
 
 
-def mlp_forward(z: Tensor, w: MLPWeights) -> Tensor:
-    """``fc2(gelu(fc1(z)))`` as one ``tensor.mlp`` op."""
-    return T.mlp(z, w.fc1.weight, w.fc1.bias, w.fc2.weight, w.fc2.bias)
+def mlp_forward(xhat: Tensor, ln: NormWeights, w: MLPWeights) -> Tensor:
+    """``fc2(gelu(fc1(xhat * gamma + beta)))`` on the parameter-free layer
+    norm ``xhat``, with ``ln``'s scale and shift, as one ``tensor.mlp`` op."""
+    return T.mlp(xhat, ln.gamma, ln.beta, w.fc1.weight, w.fc1.bias,
+                 w.fc2.weight, w.fc2.bias)
 
 
 def transformer_block(z: Tensor, w: BlockWeights,
                       keep: int | None = None) -> Tensor:
     """One pre-norm block; with ``keep``, its class-attention form.
 
-    The class-attention form returns (..., keep, d): LN1, keys and values
-    cover every token, the rest only the first ``keep``.
+    LN1 and LN2 are parameter-free ``tensor.layer_norm`` calls; their scale
+    and shift are applied inside the attention and MLP ops, so the tape
+    keeps each norm's output once. The class-attention form returns
+    (..., keep, d): LN1, keys and values cover every token, the rest only
+    the first ``keep``.
     """
-    y = msa_forward(T.layer_norm(z, w.ln1.gamma, w.ln1.beta), w.attn,
+    y = msa_forward(T.layer_norm(z), w.ln1, w.attn,
                     keep=keep) + _leading(z, keep)
-    return mlp_forward(T.layer_norm(y, w.ln2.gamma, w.ln2.beta), w.mlp) + y
+    return mlp_forward(T.layer_norm(y), w.ln2, w.mlp) + y
 
 
 def _encode(z: Tensor, blocks: list[BlockWeights],
@@ -174,7 +186,7 @@ def _encode(z: Tensor, blocks: list[BlockWeights],
     """The blocks and the final norm over one chunk of rows."""
     for block in blocks[:-1]:
         z = transformer_block(z, block)
-    return T.layer_norm(transformer_block(z, blocks[-1], keep), None, None)
+    return T.layer_norm(transformer_block(z, blocks[-1], keep))
 
 
 def encoder_forward(z: Tensor, blocks: list[BlockWeights],

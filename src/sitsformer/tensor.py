@@ -4,7 +4,8 @@ The model code in this package is written against a deliberately small set of
 primitives: elementwise arithmetic, (batched) matmul, affine, multi-head
 attention and the two-layer GELU MLP, reshape/transpose/concat style layout
 ops, reductions, and the nonlinearities a pre-norm transformer needs
-(softmax, layer norm, GELU).
+(softmax, a layer norm with no scale or shift, GELU). A block's norm scale
+and shift are applied inside the attention and MLP ops that read the norm.
 Every primitive wraps its output through one constructor, ``_op``, which
 alone decides whether the op is recorded: only when grad mode is on (see
 :class:`no_grad`) and some input requires a gradient. A recorded op puts its
@@ -18,11 +19,13 @@ carries a ``grad`` and a dtype but no data; a trainable leaf is its own slot.
 Closures receive their inputs' slots when they run, and capture only shapes
 and the arrays their backward reads. Any other array, such as a residual sum
 or the input of the final norm, is freed as soon as the forward code drops
-it. Where an array is large and cheap to rebuild, the backward rebuilds it
-from a smaller one with the forward's own ops, so the bits are the same:
-:func:`mlp` keeps its input and the fc1 product, not the GELU output or
-slope, and :func:`attention` keeps q, k, v and each softmax row's max and
-sum, not the probabilities.
+it. Where an array is large and can be rebuilt without a GEMM, the backward
+rebuilds it with the forward's own ops, so the bits are the same.
+:func:`layer_norm` keeps its normalised output, which the op reading it
+shares instead of keeping ``xhat * gamma + beta``. :func:`mlp` keeps that
+and the fc1 product, not the GELU output or slope. :func:`attention` keeps
+it, q, k, v and each softmax row's max and sum, not the probabilities or
+the merged heads before the output projection.
 
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
@@ -410,121 +413,231 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(out_data, (a, b), back)
 
 
+def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` as :func:`affine` computes it: one 2-D GEMM over the
+    flattened leading dims of ``x``, with the bias added into its buffer."""
+    out = x.reshape(-1, w.shape[0]) @ w
+    out += b
+    return out.reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _affine_back(g: np.ndarray, x: np.ndarray | None, w: np.ndarray,
+                 b_shape: tuple[int, ...], sx, sw, sb) -> None:
+    """:func:`affine`'s backward from its output gradient ``g``: the input's,
+    weight's and bias's gradients into the slots ``sx``, ``sw``, ``sb``.
+    ``x`` is read only for the weight's."""
+    g2d = g.reshape(-1, w.shape[1])
+    if sx is not None:
+        _accum(sx, (g2d @ w.T).reshape(g.shape[:-1] + w.shape[:1]), owned=True)
+    if sw is not None:
+        _accum(sw, x.reshape(-1, w.shape[0]).T @ g2d, owned=True)
+    if sb is not None:
+        _accum(sb, _unbroadcast(g, b_shape))
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b``: one 2-D GEMM over the flattened leading dims of ``x``,
     forward and backward, with the bias added into the product's buffer."""
-    (k, n), m = w.shape, math.prod(x.shape[:-1])
-    if x.shape[-1] != k:
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(
             f"affine input width {x.shape[-1]} does not match weight {w.shape}"
         )
     x_data, w_data, b_shape = x.data, w.data, b.shape
-    out_data = x_data.reshape(m, k) @ w_data
-    out_data += b.data
 
     def back(g, sx, sw, sb):
-        g2d = g.reshape(m, n)
-        if sx is not None:
-            _accum(sx, (g2d @ w_data.T).reshape(x_data.shape), owned=True)
-        if sw is not None:
-            _accum(sw, x_data.reshape(m, k).T @ g2d, owned=True)
-        if sb is not None:
-            _accum(sb, _unbroadcast(g, b_shape))
+        _affine_back(g, x_data, w_data, b_shape, sx, sw, sb)
 
-    return _op(out_data.reshape(x.shape[:-1] + (n,)), (x, w, b), back)
+    return _op(_affine_data(x_data, w_data, b.data), (x, w, b), back)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor,
-              heads: int) -> tuple[Tensor, np.ndarray]:
-    """Multi-head scaled dot-product attention: q of (..., n_q, d) attends
-    over k and v of (..., n_k, d), all three sharing the leading axes.
+def _scale_shift(xhat: np.ndarray, gamma: np.ndarray,
+                 beta: np.ndarray) -> np.ndarray:
+    """A norm's learned scale and shift, ``xhat * gamma + beta``, with the
+    ops :func:`attention` and :func:`mlp` run in forward and rebuild in
+    backward."""
+    out = xhat * gamma
+    out += beta
+    return out
 
-    One op splits heads, scores at 1/sqrt(d / heads), takes the softmax,
-    mixes and merges. Its backward keeps q, k, v and each softmax row's max
-    and sum, not the probabilities, and rebuilds those with the forward's
-    own ops, so they are the same bits (FlashAttention's row statistics,
-    arXiv 2205.14135). Returns the (..., n_q, d) output and the (..., heads,
-    n_q, n_k) probabilities as a plain array that the tape does not hold.
-    With n_q < n_k this is class attention: only the leading tokens query,
-    every token is a key.
+
+def _scale_shift_back(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
+                      sx, sgamma, sbeta) -> None:
+    """Gradients of :func:`_scale_shift` from the gradient ``g`` of its
+    output: ``gamma``'s and ``beta``'s, and ``g * gamma`` into the slot of
+    the :func:`layer_norm` output ``xhat``."""
+    lead = tuple(range(g.ndim - 1))
+    if sgamma is not None:
+        _accum(sgamma, (g * xhat).sum(axis=lead))
+    if sbeta is not None:
+        _accum(sbeta, g.sum(axis=lead))
+    if sx is not None:
+        _accum(sx, g * gamma, owned=True)
+
+
+def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
+              wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
+              bo: Tensor, heads: int,
+              keep: int | None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head self-attention over the (..., n, d) :func:`layer_norm`
+    output ``x``, from the norm's scale and shift to the output projection.
+
+    One op takes ``ln = x * gamma + beta``, projects it to q, k and v
+    (``ln @ w + b``), splits heads, scores at 1/sqrt(d / heads), takes the
+    softmax, mixes, merges, and projects the result by ``wo`` and ``bo``.
+    With ``keep`` only the first ``keep`` tokens query, so the output is
+    (..., keep, d) and every token is still a key and a value (class
+    attention); with ``None`` every token queries.
+
+    The tape keeps ``x``, which its norm keeps anyway, q, k, v and each
+    softmax row's max and sum (FlashAttention's row statistics, arXiv
+    2205.14135). The backward rebuilds ``ln``, the probabilities and the
+    merged heads from them with the forward's own ops, and adds up the
+    gradient of ``ln`` from v, k, then the query rows, as the unfused ops
+    did, so the output and every gradient are the same bits as theirs.
+    Returns the output and the (..., heads, n_q, n) probabilities as a
+    plain array that the tape does not hold.
     """
-    *lead, n_q, d = q.shape
-    if (k.shape != v.shape or k.shape[:-2] != tuple(lead)
-            or k.shape[-1:] != (d,) or d % heads):
-        raise ShapeError(f"attention over {heads} heads cannot take q, k, v "
-                         f"of shapes {q.shape}, {k.shape}, {v.shape}")
-    n_k = k.shape[-2]
+    *lead, n, d = x.shape
+    n_q = n if keep is None else keep
+    if (d % heads or not 0 < n_q <= n
+            or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
+            or any(b.shape != (d,) for b in (gamma, beta, bq, bk, bv, bo))):
+        raise ShapeError(
+            f"attention over {heads} heads, {n_q} of {n} tokens querying, "
+            f"cannot take input {x.shape} through norm {gamma.shape}/"
+            f"{beta.shape} and weights "
+            + ", ".join(f"{w.shape}/{b.shape}" for w, b in
+                        ((wq, bq), (wk, bk), (wv, bv), (wo, bo))))
+    m_q = math.prod(lead) * n_q
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
+    x_data, gamma_data, beta_data = x.data, gamma.data, beta.data
+    wq_data, wk_data, wv_data, wo_data = wq.data, wk.data, wv.data, wo.data
+    b_shape = bo.shape
 
-    def split(x, n):
-        return np.swapaxes(x.reshape(*lead, n, heads, dh), -2, -3)
+    def split(t, rows):
+        return np.swapaxes(t.reshape(*lead, rows, heads, dh), -2, -3)
 
-    def merge(x, n):
-        return np.swapaxes(x, -2, -3).reshape(*lead, n, d)
+    def merge(t, rows):
+        return np.swapaxes(t, -2, -3).reshape(*lead, rows, d)
 
-    qh, kh, vh = split(q.data, n_q), split(k.data, n_k), split(v.data, n_k)
-    p = qh @ np.swapaxes(kh, -1, -2)
-    p *= scale
+    def query_rows(ln):
+        # A copy of the leading rows, as the getitem that took them made.
+        return ln if keep is None else np.array(ln[..., :keep, :], copy=True)
+
+    def scores(qh, kh):
+        p = qh @ np.swapaxes(kh, -1, -2)
+        p *= scale
+        return p
+
+    ln = _scale_shift(x_data, gamma_data, beta_data)
+    q = _affine_data(query_rows(ln), wq_data, bq.data)
+    k = _affine_data(ln, wk_data, bk.data)
+    v = _affine_data(ln, wv_data, bv.data)
+    del ln
+    p = scores(split(q, n_q), split(k, n))
     row_max = p.max(axis=-1, keepdims=True)
     p -= row_max
     np.exp(p, out=p)
     row_sum = p.sum(axis=-1, keepdims=True)
     p /= row_sum
 
-    def back(g, sq, sk, sv):
-        p = qh @ np.swapaxes(kh, -1, -2)
-        p *= scale
+    def back(g, sx, sgamma, sbeta, swq, sbq, swk, sbk, swv, sbv, swo, sbo):
+        qh, kh, vh = split(q, n_q), split(k, n), split(v, n)
+        p = scores(qh, kh)
         p -= row_max
         np.exp(p, out=p)
         p /= row_sum
-        gm = split(g, n_q)
-        if sv is not None:
-            _accum(sv, merge(np.swapaxes(p, -1, -2) @ gm, n_k), owned=True)
-        gs = gm @ np.swapaxes(vh, -1, -2)
-        inner = (gs * p).sum(axis=-1, keepdims=True)
-        gs -= inner
-        gs *= p
-        gs *= scale
-        if sq is not None:
-            _accum(sq, merge(gs @ kh, n_q), owned=True)
-        if sk is not None:
+        grad_x = not (sx is sgamma is sbeta is None)
+        need_v, need_k, need_q = (grad_x or not (sw is sb is None) for sw, sb
+                                  in ((swv, sbv), (swk, sbk), (swq, sbq)))
+        smixed = _Slot(g.dtype) if need_v or need_k or need_q else None
+        mixed = None if swo is None else merge(p @ vh, n_q)
+        _affine_back(g, mixed, wo_data, b_shape, smixed, swo, sbo)
+        del mixed
+        if smixed is None:
+            return
+        gm = split(smixed.grad, n_q)
+        gv = merge(np.swapaxes(p, -1, -2) @ gm, n) if need_v else None
+        if need_k or need_q:
+            gs = gm @ np.swapaxes(vh, -1, -2)
+            inner = (gs * p).sum(axis=-1, keepdims=True)
+            gs -= inner
+            gs *= p
+            gs *= scale
+        del p, gm
+        ln = None
+        if not (swq is swk is swv is None):
+            ln = _scale_shift(x_data, gamma_data, beta_data)
+        # ln's gradient adds up in a slot from v, k, then the query rows, as
+        # in the unfused ops' slots.
+        sln = _Slot(x_data.dtype) if grad_x else None
+        if need_v:
+            _affine_back(gv, ln, wv_data, b_shape, sln, swv, sbv)
+            del gv
+        if need_k:
             # As (qh^T @ gs)^T, the orientation of the unfused q @ k^T.
             gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-            _accum(sk, merge(gk, n_k), owned=True)
+            _affine_back(merge(gk, n), ln, wk_data, b_shape, sln, swk, sbk)
+            del gk
+        if need_q:
+            srows = sln if keep is None or sln is None else _Slot(sln.dtype)
+            _affine_back(merge(gs @ kh, n_q), None if ln is None else
+                         query_rows(ln), wq_data, b_shape, srows, swq, sbq)
+            if srows is not sln:
+                # Back through the getitem that took the query rows.
+                pad = np.zeros(x_data.shape, sln.dtype)
+                pad[..., :keep, :] += srows.grad
+                _accum(sln, pad, owned=True)
+        if grad_x:
+            _scale_shift_back(sln.grad, x_data, gamma_data, sx, sgamma, sbeta)
 
-    return _op(merge(p @ vh, n_q), (q, k, v), back), p
+    out_data = np.empty((m_q, d), np.result_type(v, wo_data))
+    out = _op(out_data.reshape(*lead, n_q, d),
+              (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo), back)
+    mixed = merge(p @ split(v, n), n_q).reshape(m_q, d)
+    if not out.requires_grad:
+        q = k = v = None
+    np.matmul(mixed, wo_data, out=out_data)
+    out_data += bo.data
+    return out, p
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``affine(gelu(affine(x, w1, b1)), w2, b2)`` as one op that keeps only
-    ``x`` and the fc1 product ``h`` (selective recomputation, arXiv
-    2205.05198).
+def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
+        w2: Tensor, b2: Tensor) -> Tensor:
+    """``affine(gelu(affine(x * gamma + beta, w1, b1)), w2, b2)`` on the
+    :func:`layer_norm` output ``x``, as one op that keeps only ``x``, which
+    its norm keeps anyway, and the fc1 product ``h`` (selective
+    recomputation, arXiv 2205.05198).
 
     The forward takes the activation through :func:`gelu` under
     :class:`no_grad`; unrecorded, it drops ``h`` before the fc2 GEMM. The
     backward rebuilds the activation and GELU's slope from ``h`` with the
-    same kernel, then runs the unfused form's GEMMs on the same operands,
-    so the output and every gradient are the same bits as the three ops'.
+    same kernel, and ``x * gamma + beta`` from ``x`` for fc1's weight
+    gradient, then runs the unfused form's GEMMs on the same operands, so
+    the output and every gradient are the same bits as the unfused ops'.
     The rebuilt activation is freed after fc2's weight gradient, and the
     fc1 gradient is scaled by the slope in place.
     """
     (k, hidden), n, lead = w1.shape, w2.shape[-1], x.shape[:-1]
-    if x.shape[-1] != k or w2.shape[0] != hidden:
-        raise ShapeError(f"mlp cannot take input {x.shape} through weights "
-                         f"{w1.shape} and {w2.shape}")
+    if (x.shape[-1] != k or w2.shape[0] != hidden
+            or gamma.shape != (k,) or beta.shape != (k,)):
+        raise ShapeError(f"mlp cannot take input {x.shape} through norm "
+                         f"{gamma.shape}/{beta.shape} and weights {w1.shape} "
+                         f"and {w2.shape}")
     m = math.prod(lead)
-    x_data, w1_data, w2_data, b1_shape, b2_shape = (
-        x.data, w1.data, w2.data, b1.shape, b2.shape)
-    h = x_data.reshape(m, k) @ w1_data
+    x_data, gamma_data, beta_data, w1_data, w2_data, b1_shape, b2_shape = (
+        x.data, gamma.data, beta.data, w1.data, w2.data, b1.shape, b2.shape)
+    h = _scale_shift(x_data, gamma_data, beta_data).reshape(m, k) @ w1_data
     h += b1.data
     with no_grad():
         act = gelu(Tensor(h)).data
 
-    def back(g, sx, sw1, sb1, sw2, sb2):
+    def back(g, sx, sgamma, sbeta, sw1, sb1, sw2, sb2):
         g2d = g.reshape(m, n)
         act = np.empty_like(h)
-        slope = None if sx is sw1 is sb1 is None else np.empty_like(h)
+        grad_x = not (sx is sgamma is sbeta is None)
+        slope = None if not grad_x and sw1 is sb1 is None else np.empty_like(h)
         _gelu_into(h, act, slope)
         if sw2 is not None:
             _accum(sw2, act.T @ g2d, owned=True)
@@ -536,15 +649,18 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         gh = g2d @ w2_data.T
         gh *= slope
         del slope
-        if sx is not None:
-            _accum(sx, (gh @ w1_data.T).reshape(x_data.shape), owned=True)
+        if grad_x:
+            _scale_shift_back((gh @ w1_data.T).reshape(x_data.shape), x_data,
+                              gamma_data, sx, sgamma, sbeta)
         if sw1 is not None:
-            _accum(sw1, x_data.reshape(m, k).T @ gh, owned=True)
+            ln = _scale_shift(x_data, gamma_data, beta_data)
+            _accum(sw1, ln.reshape(m, k).T @ gh, owned=True)
         if sb1 is not None:
             _accum(sb1, _unbroadcast(gh.reshape(lead + (hidden,)), b1_shape))
 
     out_data = np.empty((m, n), np.result_type(act, w2_data))
-    out = _op(out_data.reshape(lead + (n,)), (x, w1, b1, w2, b2), back)
+    out = _op(out_data.reshape(lead + (n,)),
+              (x, gamma, beta, w1, b1, w2, b2), back)
     if not out.requires_grad:
         h = None
     np.matmul(act, w2_data, out=out_data)
@@ -718,47 +834,25 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _op(out_data, (a,), back)
 
 
-def layer_norm(a: Tensor, gamma: Tensor | None, beta: Tensor | None,
-               eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance normalization over the last axis, then affine.
-
-    ``gamma`` and ``beta`` of ``None`` mean no affine: the normalized values
-    are the output, and the op keeps no other full-size array.
+def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+    """Zero-mean unit-variance normalization over the last axis, with no
+    scale or shift; the normalized values are the only full-size array the
+    op keeps. A block's learned scale and shift are applied by the op that
+    reads its norm (:func:`attention`, :func:`mlp`).
     """
-    d = a.shape[-1]
-    if gamma is not None and (gamma.shape != (d,) or beta.shape != (d,)):
-        raise ShapeError(
-            f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match "
-            f"feature width {d}"
-        )
     xhat = a.data - a.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    if gamma is None:
-        out_data, inputs, gamma_data = xhat, (a,), None
-    else:
-        gamma_data = gamma.data
-        out_data = xhat * gamma_data
-        out_data += beta.data
-        inputs = (a, gamma, beta)
 
-    def back(g, sa, sgamma=None, sbeta=None):
-        if gamma_data is not None:
-            lead = tuple(range(g.ndim - 1))
-            if sgamma is not None:
-                _accum(sgamma, (g * xhat).sum(axis=lead))
-            if sbeta is not None:
-                _accum(sbeta, g.sum(axis=lead))
-        if sa is not None:
-            dxhat = g if gamma_data is None else g * gamma_data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True)
-            term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            # Not scaled in place: the product's memory order, which a
-            # non-contiguous ``g`` sets, decides how later sums round.
-            _accum(sa, inv_std * term, owned=True)
+    def back(g, sa):
+        term = g - g.mean(axis=-1, keepdims=True)
+        term -= xhat * (g * xhat).mean(axis=-1, keepdims=True)
+        # Not scaled in place: the product's memory order, which a
+        # non-contiguous ``g`` sets, decides how later sums round.
+        _accum(sa, inv_std * term, owned=True)
 
-    return _op(out_data, inputs, back)
+    return _op(xhat, (a,), back)
 
 
 def _phi_f32(x: np.ndarray) -> np.ndarray:

@@ -526,15 +526,17 @@ def test_batched_float32_logits_match_one_sample_calls():
 
 
 def test_demo_forward_tape_size_is_pinned():
-    # The README run.cfg model. Per micro-batch, whatever its size: 17
-    # affine, 4 attention, 4 mlp, 10 layer_norm, 11 add, 5 reshape, 5
-    # getitem, 3 transpose, 2 concat, 2 broadcast_to and 1 matmul (the
-    # head). The getitem are the date lookup, the cls rows that query and
-    # enter the residual in the last temporal block, and the spatial readout
-    # and local tokens; the broadcast_to put the temporal and spatial cls
-    # tokens in front of every sample's sequences. A one-sample call adds
-    # one reshape, which drops the batch axis. A primitive split back into
-    # its parts shows up here first.
+    # The README run.cfg model. Per micro-batch, whatever its size: 1
+    # affine (the patch embedding), 4 attention, 4 mlp, 10 layer_norm, 11
+    # add, 5 reshape, 4 getitem, 3 transpose, 2 concat, 2 broadcast_to and 1
+    # matmul (the head). Each attention and mlp takes its norm's scale and
+    # shift and its projections, so no block records an affine of its own.
+    # The getitem are the date lookup, the cls rows that enter the residual
+    # in the last temporal block, and the spatial readout and local tokens;
+    # the broadcast_to put the temporal and spatial cls tokens in front of
+    # every sample's sequences. A one-sample call adds one reshape, which
+    # drops the batch axis. A primitive split back into its parts shows up
+    # here first.
     cfg = m.ModelConfig(n_classes=4, dim=32, depth_temporal=2,
                         depth_spatial=2, n_heads=4, mlp_ratio=2,
                         patch=(1, 2, 2), input_shape=(12, 8, 8, 3))
@@ -542,10 +544,10 @@ def test_demo_forward_tape_size_is_pinned():
     tape = active_tape()
     try:
         m.forward(toy_series(cfg, seed=2), model)
-        assert len(tape) == 65
+        assert len(tape) == 48
         tape.clear()
         m.forward([toy_series(cfg, seed=s) for s in (2, 3)], model)
-        assert len(tape) == 64
+        assert len(tape) == 47
     finally:
         tape.clear()
 

@@ -31,12 +31,12 @@ class TestMSA:
     def test_dim_not_divisible_by_heads_fails_at_first_use(self):
         w = nn.MSAWeights(10, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            nn.msa_forward(random_tokens((1, 4, 10)), w)
+            nn.msa_forward(random_tokens((1, 4, 10)), nn.NormWeights(10), w)
 
     def test_single_token_attention_weight_is_one(self):
         w = nn.MSAWeights(8, 2, np.random.default_rng(1))
         z = random_tokens((1, 1, 8), seed=2)
-        out, attn = nn.msa_forward(z, w, return_attn=True)
+        out, attn = nn.msa_forward(z, nn.NormWeights(8), w, return_attn=True)
         np.testing.assert_array_equal(attn.data, np.ones((1, 2, 1, 1)))
         expected = w.out(w.v(z))
         np.testing.assert_allclose(out.data, expected.data, rtol=1e-6)
@@ -44,7 +44,7 @@ class TestMSA:
     def test_attention_rows_are_probability_vectors(self):
         w = nn.MSAWeights(8, 4, np.random.default_rng(3))
         z = random_tokens((2, 7, 8), seed=4)
-        _, attn = nn.msa_forward(z, w, return_attn=True)
+        _, attn = nn.msa_forward(z, nn.NormWeights(8), w, return_attn=True)
         np.testing.assert_allclose(
             attn.data.sum(axis=-1), np.ones((2, 4, 7)), atol=1e-6
         )
@@ -53,8 +53,9 @@ class TestMSA:
     def test_keep_queries_with_the_leading_tokens_only(self):
         w = nn.MSAWeights(8, 2, np.random.default_rng(3))
         z = random_tokens((2, 7, 8), seed=4)
-        out, attn = nn.msa_forward(z, w, return_attn=True, keep=3)
-        full, full_attn = nn.msa_forward(z, w, return_attn=True)
+        ln = nn.NormWeights(8)
+        out, attn = nn.msa_forward(z, ln, w, return_attn=True, keep=3)
+        full, full_attn = nn.msa_forward(z, ln, w, return_attn=True)
         assert out.shape == (2, 3, 8) and attn.shape == (2, 2, 3, 7)
         np.testing.assert_allclose(out.data, full.data[:, :3], atol=1e-6)
         np.testing.assert_allclose(attn.data, full_attn.data[:, :, :3],
@@ -64,25 +65,28 @@ class TestMSA:
         w = nn.MSAWeights(8, 2, np.random.default_rng(5))
         z = random_tokens((2, 6, 8), seed=6)
         perm = np.random.default_rng(7).permutation(6)
-        out = nn.msa_forward(z, w)
-        out_perm = nn.msa_forward(Tensor(z.data[:, perm]), w)
+        ln = nn.NormWeights(8)
+        out = nn.msa_forward(z, ln, w)
+        out_perm = nn.msa_forward(Tensor(z.data[:, perm]), ln, w)
         np.testing.assert_allclose(out.data[:, perm], out_perm.data, atol=1e-5)
 
     def test_wrong_feature_width(self):
         w = nn.MSAWeights(8, 2, np.random.default_rng(8))
         with pytest.raises(ShapeError):
-            nn.msa_forward(random_tokens((1, 3, 6)), w)
+            nn.msa_forward(random_tokens((1, 3, 6)), nn.NormWeights(6), w)
 
     def test_gradcheck(self):
         w = nn.MSAWeights(8, 2, np.random.default_rng(9), dtype=np.float64)
+        ln = nn.NormWeights(8, dtype=np.float64)
         rng = np.random.default_rng(10)
         z = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True,
                    dtype=np.float64)
-        params = [z] + [p for _, p in nn.named_parameters(w, "w")]
+        params = [z] + [p for _, p in nn.named_parameters([ln, w], "w")]
         coef = rng.standard_normal((2, 5, 8))
 
         def loss(_):
-            return (nn.msa_forward(z, w) * Tensor(coef, dtype=np.float64)).sum()
+            out = nn.msa_forward(z, ln, w)
+            return (out * Tensor(coef, dtype=np.float64)).sum()
 
         assert check_gradients(loss, params) < 1e-3
 
@@ -108,7 +112,7 @@ class TestBlock:
         blocks = nn.transformer_block(
             nn.transformer_block(z, enc[0]), enc[1]
         )
-        manual = T.layer_norm(blocks, None, None)
+        manual = T.layer_norm(blocks)
         stacked = nn.encoder_forward(z, enc)
         np.testing.assert_array_equal(manual.data, stacked.data)
 
@@ -154,7 +158,7 @@ class TestEncoder:
             for block in enc:
                 out = nn.transformer_block(out, block)
             out = T.getitem(out, (slice(None), slice(0, keep)))
-            return T.layer_norm(out, None, None) if enc else out
+            return T.layer_norm(out) if enc else out
 
         runs = []
         for run in (lambda: nn.encoder_forward(z, enc, keep=keep), sliced_full):
@@ -373,28 +377,56 @@ class TestTapeMemory:
             tape.clear()
 
     @pytest.mark.parametrize("keep", [None, 2])
-    def test_block_keeps_no_probabilities_and_one_hidden_array(self, keep):
+    def test_block_keeps_no_probabilities_and_one_hidden_array(
+            self, monkeypatch, keep):
         # Attention keeps its softmax rows' max and sum, not the (..., heads,
         # n_q, n_k) probabilities; the MLP keeps its pre-activation, not the
-        # GELU output or slope. Both are rebuilt in backward.
+        # GELU output or slope. Both are rebuilt in backward, as are each
+        # norm's scaled and shifted output, the query rows and the merged
+        # heads: the token-wide arrays kept are the two norms' outputs, which
+        # the ops reading them share, and q, k and v.
         block = nn.BlockWeights(8, 2, 4, np.random.default_rng(33))
         params = {id(p.data) for _, p in nn.named_parameters(block, "b")}
         z = random_tokens((2, 5, 8), seed=34)
         n_q = 5 if keep is None else keep
+        norms = []
+        layer_norm = T.layer_norm
+
+        def watched_layer_norm(a):
+            out = layer_norm(a)
+            norms.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "layer_norm", watched_layer_norm)
         nn.transformer_block(z, block, keep=keep)
         tape = T.active_tape()
         assert len(tape) > 0
-        held = [v for _, back, _ in tape for v in reachable(back)
-                if isinstance(v, np.ndarray) and id(v) not in params]
+        held = {id(v): v for _, back, _ in tape for v in reachable(back)
+                if isinstance(v, np.ndarray) and id(v) not in params}
+        held = list(held.values())
         assert not [a for a in held if a.shape[-3:] == (2, n_q, 5)]
         hidden = [a.shape for a in held if a.shape[-1] == 32]
         assert hidden == [(2 * n_q, 32)]
+        tokens = [a for a in held if a.shape[-1] == 8]
+        assert len(tokens) == 5
+        assert all(any(a is x for a in tokens) for x in norms)
+        ln = norms[0] * block.ln1.gamma.data + block.ln1.beta.data
+        projections = [ln[:, :n_q] @ block.attn.q.weight.data
+                       + block.attn.q.bias.data]
+        projections += [ln @ w.weight.data + w.bias.data
+                        for w in (block.attn.k, block.attn.v)]
+        rest = [a for a in tokens if not any(a is x for x in norms)]
+        for want in projections:
+            assert sum(a.shape == want.shape and np.allclose(a, want)
+                       for a in rest) == 1
 
     def test_warm_forward_retains_little(self):
-        # A warm demo forward with grad on keeps 0.79 MB until backward. The
+        # A warm demo forward with grad on keeps 0.57 MB until backward. The
         # bound leaves a margin because Python object sizes vary by version,
-        # yet fails a tape that keeps every block's GELU output and slope and
-        # its attention probabilities (1.01 MB).
+        # yet fails a tape that also keeps every norm's scaled and shifted
+        # output and every attention output before its projection (0.79
+        # MB), let alone every block's GELU output and slope and its
+        # attention probabilities (1.01 MB).
         model, series = demo_model_and_series()
         tape = T.active_tape()
         try:
@@ -410,7 +442,7 @@ class TestTapeMemory:
         finally:
             tape.clear()
         assert logits.requires_grad
-        assert kept <= 0.9e6
+        assert kept <= 0.65e6
 
     def test_grad_free_forward_peaks_with_the_chunk(self, monkeypatch):
         # 256 locations; the temporal encoder's input is 147,456 values

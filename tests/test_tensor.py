@@ -17,9 +17,26 @@ def t64(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
+def attention_case(keep):
+    """``T.attention`` over 2 heads of the inputs but the key bias, which is
+    zero: the softmax cancels it, so its gradient is rounding noise that
+    finite differences cannot resolve (the bitwise tests cover it). The
+    query weight enters at a tenth of its drawn size, so the scores stay
+    O(1) as at init, where central differences resolve the softmax."""
+
+    def call(x, gamma, beta, wq, bq, wk, wv, bv, wo, bo):
+        return T.attention(x, gamma, beta, wq * 0.1, bq, wk,
+                           Tensor(np.zeros_like(bq.data)), wv, bv, wo, bo,
+                           2, keep)[0]
+
+    return call, [(2, 3, 4), (4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,),
+                  (4, 4), (4,)]
+
+
 # Every differentiable primitive, as (call, input shapes): matmul against a
-# 2-D and a 3-D right operand, layer_norm with and without its affine. The
-# no-grad case trains only the last input, so mlp's backward then skips GELU.
+# 2-D and a 3-D right operand, attention with every token querying and with
+# the first two. The no-grad case trains only the last input, so mlp's
+# backward then skips GELU and attention's stops at the output bias.
 PRIMITIVE_CASES = {
     "add": (T.add, [(2, 3), (3,)]),
     "sub": (T.sub, [(2, 3), (2, 3)]),
@@ -31,11 +48,9 @@ PRIMITIVE_CASES = {
     "matmul_2d": (T.matmul, [(2, 3, 4), (4, 5)]),
     "matmul_3d": (T.matmul, [(2, 3, 4), (2, 4, 5)]),
     "affine": (T.affine, [(2, 3, 4), (4, 5), (5,)]),
-    "mlp": (T.mlp, [(2, 3, 4), (4, 6), (6,), (6, 5), (5,)]),
-    "attention": (lambda q, k, v: T.attention(q, k, v, 2)[0],
-                  [(2, 3, 4), (2, 3, 4), (2, 3, 4)]),
-    "attention_cls": (lambda q, k, v: T.attention(q, k, v, 2)[0],
-                      [(2, 2, 4), (2, 3, 4), (2, 3, 4)]),
+    "mlp": (T.mlp, [(2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 5), (5,)]),
+    "attention": attention_case(None),
+    "attention_cls": attention_case(2),
     "reshape": (lambda a: T.reshape(a, (6, 4)), [(2, 3, 4)]),
     "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
     "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
@@ -46,8 +61,7 @@ PRIMITIVE_CASES = {
     "tmean": (lambda a: T.tmean(a, axis=1), [(2, 3)]),
     "softmax": (T.softmax, [(2, 3)]),
     "logsumexp": (T.logsumexp, [(2, 3)]),
-    "layer_norm": (T.layer_norm, [(2, 4), (4,), (4,)]),
-    "layer_norm_plain": (lambda a: T.layer_norm(a, None, None), [(2, 4)]),
+    "layer_norm": (T.layer_norm, [(2, 4)]),
     "gelu": (T.gelu, [(2, 3)]),
 }
 
@@ -165,91 +179,167 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_closed_form_three_point(self):
-        x = Tensor([1.0, 2.0, 3.0])
-        gamma = Tensor(np.ones(3))
-        beta = Tensor(np.zeros(3))
-        out = T.layer_norm(x, gamma, beta, eps=0.0)
+        out = T.layer_norm(Tensor([1.0, 2.0, 3.0]), eps=0.0)
         np.testing.assert_allclose(
             out.data, [-1.22474487, 0.0, 1.22474487], atol=1e-5
         )
 
     def test_constant_vector_maps_to_zero(self):
-        out = T.layer_norm(
-            Tensor([5.0, 5.0, 5.0, 5.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-            eps=1e-5,
-        )
+        out = T.layer_norm(Tensor([5.0, 5.0, 5.0, 5.0]), eps=1e-5)
         np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-7)
 
     def test_row_statistics(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((4, 8)) * 3 + 1)
-        out = T.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), eps=1e-7)
+        out = T.layer_norm(x, eps=1e-7)
         assert np.all(np.abs(out.data.mean(axis=-1)) < 1e-6)
         np.testing.assert_allclose(out.data.var(axis=-1), np.ones(4), atol=1e-4)
 
     def test_affine_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        # A norm's scale and shift are checked by the op that applies them.
+        xhat = T.layer_norm(Tensor(np.zeros((2, 3, 4))))
+        w, b, bad = Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)), Tensor(np.ones(3))
+        with pytest.raises(ShapeError, match=r"norm \(3,\)/\(4,\)"):
+            T.attention(xhat, bad, b, *[w, b] * 4, 2, None)
+        with pytest.raises(ShapeError, match=r"norm \(4,\)/\(3,\)"):
+            T.mlp(xhat, b, bad, w, b, w, b)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
         x = t64(rng.standard_normal((3, 6)))
-        gamma = t64(rng.standard_normal(6) + 1.0)
-        beta = t64(rng.standard_normal(6))
         w = rng.standard_normal((3, 6))
 
         def loss(params):
-            x_, g_, b_ = params
-            out = T.layer_norm(x_, g_, b_, eps=1e-5)
+            out = T.layer_norm(params[0], eps=1e-5)
             return (out * Tensor(w, dtype=np.float64)).sum()
 
-        assert check_gradients(loss, [x, gamma, beta]) < 1e-5
+        assert check_gradients(loss, [x]) < 1e-5
+
+
+def unfused_attention(xhat, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
+                      heads, keep, affine=T.affine):
+    """``T.attention`` as the ops it folds: the norm's scale and shift, the
+    getitem of the query rows, the q, k and v affines, split heads, scores,
+    scale, softmax, mix, merge and the output affine."""
+    b, n, d = xhat.shape
+    n_q, dh = n if keep is None else keep, d // heads
+
+    def split(t, rows):
+        return t.reshape(b, rows, heads, dh).transpose(0, 2, 1, 3)
+
+    ln = xhat * gamma + beta
+    rows = ln if keep is None else T.getitem(ln, (..., slice(0, keep),
+                                                  slice(None)))
+    q, k, v = affine(rows, wq, bq), affine(ln, wk, bk), affine(ln, wv, bv)
+    q, k, v = split(q, n_q), split(k, n), split(v, n)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+    attn = T.softmax(scores, axis=-1)
+    mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n_q, d)
+    return affine(mixed, wo, bo), attn.data
+
+
+def unfused_mlp(xhat, gamma, beta, w1, b1, w2, b2):
+    """``T.mlp`` as the ops it folds."""
+    return T.affine(T.gelu(T.affine(xhat * gamma + beta, w1, b1)), w2, b2)
+
+
+def compare_over_grad_subsets(fused, unfused, leaves, coef):
+    """Run ``fused`` and ``unfused`` from the same leaves, once for every
+    subset of them that requires a gradient and once under ``no_grad``, and
+    require their outputs and every gradient to be the same bits.
+
+    Each callable returns its output tensor, then any arrays that must
+    match as well. Only the leaves that require a gradient may get one.
+    """
+    dtype = leaves[0].dtype
+    for mask in range(2 ** len(leaves)):
+        for i, t in enumerate(leaves):
+            t.requires_grad = bool(mask >> i & 1)
+        runs = []
+        for fn in (fused, unfused):
+            out, *extra = fn()
+            if out.requires_grad:
+                backward((out * coef).sum())
+            runs.append([out.data, *extra] + [t.grad for t in leaves])
+            for t in leaves:
+                t.zero_grad()
+        assert ([g is not None for g in runs[0][-len(leaves):]]
+                == [t.requires_grad for t in leaves])
+        for a, b in zip(*runs):
+            assert a is None and b is None or a.dtype == b.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+    with no_grad():
+        off = [[x.data if isinstance(x, Tensor) else x for x in fn()]
+               for fn in (fused, unfused)]
+    assert len(T.active_tape()) == 0
+    for a, b, on in zip(*off, runs[0]):
+        np.testing.assert_array_equal(a, on)
+        np.testing.assert_array_equal(b, on)
 
 
 class TestFusedOps:
     def test_float32_matches_composed_forms_bitwise(self):
-        # affine is matmul on the flattened rows, then a bias add; attention
-        # is split heads, scores, scale, softmax, mix and merge.
+        # Down to the basic primitives: each affine as matmul on the
+        # flattened rows, then a bias add.
         b, n, d, heads = 3, 5, 8, 2
-        dh = d // heads
         rng = np.random.default_rng(12)
 
         def leaf(*shape):
             return Tensor(rng.standard_normal(shape).astype(np.float32),
                           requires_grad=True)
 
-        x = leaf(b, n, d)
-        weights = [(leaf(d, d), leaf(d)) for _ in range(4)]
+        z = leaf(b, n, d)
+        params = [leaf(d), leaf(d)] + [leaf(*s) for s in [(d, d), (d,)] * 4]
         coef = Tensor(rng.standard_normal((b, n, d)).astype(np.float32))
 
-        def composed_affine(z, w, bias):
-            flat = T.matmul(T.reshape(z, (b * n, d)), w)
-            return T.reshape(flat, (b, n, d)) + bias
-
-        def composed_attention(q, k, v):
-            def split(t):
-                return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
-
-            q, k, v = split(q), split(k), split(v)
-            scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-            attn = T.softmax(scores, axis=-1)
-            mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
-            return mixed, attn.data
+        def composed_affine(x, w, bias):
+            flat = T.matmul(T.reshape(x, (x.shape[0] * x.shape[1], d)), w)
+            return T.reshape(flat, x.shape[:2] + (d,)) + bias
 
         runs = []
-        for aff, att in ((T.affine, lambda q, k, v: T.attention(q, k, v, heads)),
-                         (composed_affine, composed_attention)):
-            qkv = [aff(x, w, bias) for w, bias in weights[:3]]
-            mixed, probs = att(*qkv)
-            out = aff(mixed, *weights[3])
+        for fn in (T.attention, lambda *a: unfused_attention(
+                *a, affine=composed_affine)):
+            out, probs = fn(T.layer_norm(z), *params, heads, None)
             backward((out * coef).sum())
-            leaves = [x] + [t for pair in weights for t in pair]
-            runs.append([out.data, probs] + [t.grad for t in leaves])
-            for t in leaves:
+            runs.append([out.data, probs] + [t.grad for t in [z] + params])
+            for t in [z] + params:
                 t.zero_grad()
         for fused, composed in zip(*runs):
             assert fused.dtype == np.float32
             np.testing.assert_array_equal(fused, composed)
+
+    @pytest.mark.parametrize("keep", [None, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_matches_unfused_ops_bitwise(self, dtype, keep):
+        # Every subset of the eleven inputs that train, the normalised
+        # tokens counted as one through the layer norm's input.
+        b, n, d, heads = 2, 4, 4, 2
+        rng = np.random.default_rng(15)
+        leaves = [Tensor(rng.standard_normal(s).astype(dtype)) for s in
+                  [(b, n, d), (d,), (d,)] + [(d, d), (d,)] * 4]
+        coef = Tensor(rng.standard_normal(
+            (b, n if keep is None else keep, d)).astype(dtype))
+
+        def call(fn):
+            return lambda: fn(T.layer_norm(leaves[0]), *leaves[1:], heads, keep)
+
+        compare_over_grad_subsets(call(T.attention), call(unfused_attention),
+                                  leaves, coef)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mlp_matches_unfused_ops_bitwise(self, dtype):
+        # Every subset of the seven inputs that train, on the first two
+        # tokens of each sample as in a class-attention block.
+        rng = np.random.default_rng(16)
+        leaves = [Tensor(rng.standard_normal(s).astype(dtype)) for s in
+                  [(2, 3, 4), (4,), (4,), (4, 6), (6,), (6, 4), (4,)]]
+        coef = Tensor(rng.standard_normal((2, 2, 4)).astype(dtype))
+
+        def call(fn):
+            return lambda: (fn(T.layer_norm(T.getitem(leaves[0], (
+                slice(None), slice(0, 2)))), *leaves[1:]),)
+
+        compare_over_grad_subsets(call(T.mlp), call(unfused_mlp), leaves, coef)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mlp_matches_affine_gelu_affine_bitwise(self, dtype):
@@ -262,17 +352,16 @@ class TestFusedOps:
             return Tensor(rng.standard_normal(shape).astype(dtype),
                           requires_grad=True)
 
-        z, w1, b1, w2, b2 = leaves = [leaf(4, 70, 16), leaf(16, 128),
-                                      leaf(128), leaf(128, 16), leaf(16)]
+        leaves = [leaf(4, 70, 16), leaf(16), leaf(16), leaf(16, 128),
+                  leaf(128), leaf(128, 16), leaf(16)]
+        z, params = leaves[0], leaves[1:]
         assert 4 * 70 * 128 > T._GELU_BLOCK
-
-        def composed(x, w1, b1, w2, b2):
-            return T.affine(T.gelu(T.affine(x, w1, b1)), w2, b2)
 
         for rows in (slice(None), slice(0, 2)):
             runs = []
-            for fn in (T.mlp, composed):
-                out = fn(T.getitem(z, (slice(None), rows)), w1, b1, w2, b2)
+            for fn in (T.mlp, unfused_mlp):
+                xhat = T.layer_norm(T.getitem(z, (slice(None), rows)))
+                out = fn(xhat, *params)
                 coef = np.random.default_rng(14).standard_normal(out.shape)
                 backward((out * Tensor(coef, dtype=dtype)).sum())
                 runs.append([out.data] + [t.grad for t in leaves])
@@ -284,28 +373,32 @@ class TestFusedOps:
 
     def test_shape_errors(self):
         x = Tensor(np.zeros((2, 3, 4)))
+        w, b = Tensor(np.zeros((4, 4))), Tensor(np.zeros(4))
         with pytest.raises(ShapeError):
             T.affine(x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
-            T.attention(x, x, x, 3)
-        with pytest.raises(ShapeError):
-            T.attention(x, x, Tensor(np.zeros((2, 4, 4))), 2)
+            T.attention(x, b, b, *[w, b] * 4, 3, None)
+        for keep in (0, 4):
+            with pytest.raises(ShapeError, match=f"{keep} of 3 tokens"):
+                T.attention(x, b, b, *[w, b] * 4, 2, keep)
         for w1, w2 in (((5, 6), (6, 4)), ((4, 6), (5, 4))):
             with pytest.raises(ShapeError, match="mlp"):
-                T.mlp(x, Tensor(np.zeros(w1)), Tensor(np.zeros(6)),
+                T.mlp(x, b, b, Tensor(np.zeros(w1)), Tensor(np.zeros(6)),
                       Tensor(np.zeros(w2)), Tensor(np.zeros(4)))
 
-    @pytest.mark.parametrize("q, k, v", [
-        ((2, 2, 4), (2, 3, 4), (2, 4, 4)),  # k and v disagree in length
-        ((1, 2, 4), (2, 3, 4), (2, 3, 4)),  # batch differs from q's
-        ((2, 2, 4), (2, 3, 6), (2, 3, 6)),  # width differs from q's
-        ((2, 2, 4), (3, 4), (3, 4)),  # k and v lack the batch axis
-    ])
-    def test_attention_shape_mismatch_names_every_shape(self, q, k, v):
-        q, k, v = (Tensor(np.zeros(shape)) for shape in (q, k, v))
+    @pytest.mark.parametrize("i, shape", [
+        (3, (4, 6)),  # the query weight is not square
+        (6, (5,)),  # the key bias is not input-wide
+        (9, (6, 4)),  # the output weight does not take the heads' width
+        (0, (2, 3, 6)),  # the input is wider than every weight
+    ], ids=["query_weight", "key_bias", "output_weight", "input"])
+    def test_attention_shape_mismatch_names_every_shape(self, i, shape):
+        shapes = [(2, 3, 4), (4,), (4,)] + [(4, 4), (4,)] * 4
+        shapes[i] = shape
+        inputs = [Tensor(np.zeros(s)) for s in shapes]
         with pytest.raises(ShapeError) as err:
-            T.attention(q, k, v, 2)
-        for t in (q, k, v):
+            T.attention(*inputs, 2, None)
+        for t in inputs:
             assert str(t.shape) in str(err.value)
 
 
@@ -572,7 +665,7 @@ class TestComposedGraphOracle:
         def loss(params):
             w1_, b1_, w2_, gamma_, beta_ = params
             h = T.gelu(Tensor(x, dtype=np.float64) @ w1_ + b1_)
-            y = T.layer_norm(h @ w2_, gamma_, beta_, eps=1e-5)
+            y = T.layer_norm(h @ w2_, eps=1e-5) * gamma_ + beta_
             p = T.softmax(y, axis=-1)
             return (p * p).sum() + T.logsumexp(y, axis=-1).mean()
 
