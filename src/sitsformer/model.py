@@ -49,7 +49,7 @@ CHOICES = {
 }
 
 CHECKPOINT_MAGIC = b"SFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -157,14 +157,15 @@ def parameter_count(config: ModelConfig, n_temporal_keys=None) -> int:
     r = config.mlp_ratio
     if n_temporal_keys is None or config.pe_mode == "static":
         n_temporal_keys = config.n_frames
-    # Attention 4(d^2+d), mlp (2r d^2 + (r+1) d), two norms 4d per block.
-    per_block = (4 + 2 * r) * d * d + (9 + r) * d
+    # Attention 4d^2+3d, mlp (2r d^2 + (r+1) d), two norms 4d per block.
+    per_block = (4 + 2 * r) * d * d + (8 + r) * d
     s = config.n_streams
+    n_cls = 2 if config.factorization == "temporal_first" else 1
     return (
         (config.patch_flat * d + d)                       # patch projection
         + n_temporal_keys * d                             # temporal table
         + config.n_locations * d                          # spatial table
-        + 2 * s * d                                       # class tokens
+        + n_cls * s * d                                   # class tokens
         + (config.depth_temporal + config.depth_spatial) * per_block
         + s * (d * config.head_width + config.head_width)  # head projectors
     )
@@ -198,9 +199,11 @@ class SitsFormer:
         self.embed = Affine(config.patch_flat, d, rng, dtype)
         self.temporal_pe = TemporalPositionTable(temporal_keys, d, rng, dtype)
         self.spatial_pe = trunc_normal(rng, (config.n_locations, d), dtype)
-        # Class tokens: (K, d) before each location's series, (K, 1, d) per map.
+        # Class tokens: (K, d) before each location's series, and (K, 1, d)
+        # per map on temporal_first, the one order that runs spatial_encode.
         self.cls_temporal = trunc_normal(rng, (config.n_streams, d), dtype)
-        self.cls_spatial = trunc_normal(rng, (config.n_streams, 1, d), dtype)
+        self.cls_spatial = (trunc_normal(rng, (config.n_streams, 1, d), dtype)
+                            if config.factorization == "temporal_first" else None)
         self.temporal_encoder = [
             BlockWeights(d, config.n_heads, config.mlp_ratio, rng, dtype)
             for _ in range(config.depth_temporal)

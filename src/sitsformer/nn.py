@@ -55,8 +55,8 @@ def named_parameters(obj, prefix: str):
 
     Attributes are walked in definition order and list items are named by
     their index, so a block's first query weight is ``<prefix>.attn.q.weight``
-    and an encoder's second block is ``<prefix>.1``. Constant tensors, ints
-    and ndarrays (such as a position table's day keys) are skipped.
+    and an encoder's second block is ``<prefix>.1``. Constant tensors, ints,
+    ``None`` and ndarrays (such as a position table's day keys) are skipped.
     """
     if isinstance(obj, Tensor):
         if obj.requires_grad:
@@ -85,18 +85,16 @@ class MSAWeights:
     """Query/key/value/output projections for multi-headed self-attention.
 
     ``heads`` must divide ``dim``; ``ModelConfig`` is the gate for that.
-    The key bias cannot change an output: it adds the same ``q . b`` to
-    every score of a query, which the softmax cancels, so ``k.bias`` gets
-    only rounding noise as its gradient. It stays because dropping it would
-    change the checkpoint layout and ACCEPTANCE 1's reference parameter
-    count (1,631,172).
+    The key projection ``k`` is a bare (dim, dim) weight: a key bias adds
+    the same ``q . b`` to every score of a query, which the softmax
+    cancels, so no output could read it.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  dtype=DEFAULT_DTYPE):
         self.heads = heads
         self.q = Affine(dim, dim, rng, dtype)
-        self.k = Affine(dim, dim, rng, dtype)
+        self.k = trunc_normal(rng, (dim, dim), dtype)
         self.v = Affine(dim, dim, rng, dtype)
         self.out = Affine(dim, dim, rng, dtype)
 
@@ -152,8 +150,8 @@ def msa_forward(xhat: Tensor, ln: NormWeights, w: MSAWeights,
     as a constant tensor: they are not differentiable.
     """
     out, attn = T.attention(xhat, ln.gamma, ln.beta, w.q.weight, w.q.bias,
-                            w.k.weight, w.k.bias, w.v.weight, w.v.bias,
-                            w.out.weight, w.out.bias, w.heads, keep)
+                            w.k, w.v.weight, w.v.bias, w.out.weight,
+                            w.out.bias, w.heads, keep)
     if return_attn:
         return out, Tensor(attn)
     return out

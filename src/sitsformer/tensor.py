@@ -475,15 +475,14 @@ def _scale_shift_back(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray,
 
 
 def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
-              wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
-              bo: Tensor, heads: int,
-              keep: int | None) -> tuple[Tensor, np.ndarray]:
+              wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+              heads: int, keep: int | None) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over the (..., n, d) :func:`layer_norm`
     output ``x``, from the norm's scale and shift to the output projection.
 
     One op takes ``ln = x * gamma + beta``, projects it to q, k and v
-    (``ln @ w + b``), splits heads, scores at 1/sqrt(d / heads), takes the
-    softmax, mixes, merges, and projects the result by ``wo`` and ``bo``.
+    (``ln @ w + b``; k has no ``b``), splits heads, scores at 1/sqrt(d /
+    heads), takes the softmax, mixes, merges, and projects by ``wo``, ``bo``.
     With ``keep`` only the first ``keep`` tokens query, so the output is
     (..., keep, d) and every token is still a key and a value (class
     attention); with ``None`` every token queries.
@@ -501,13 +500,12 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
     n_q = n if keep is None else keep
     if (d % heads or not 0 < n_q <= n
             or any(w.shape != (d, d) for w in (wq, wk, wv, wo))
-            or any(b.shape != (d,) for b in (gamma, beta, bq, bk, bv, bo))):
+            or any(b.shape != (d,) for b in (gamma, beta, bq, bv, bo))):
         raise ShapeError(
             f"attention over {heads} heads, {n_q} of {n} tokens querying, "
             f"cannot take input {x.shape} through norm {gamma.shape}/"
-            f"{beta.shape} and weights "
-            + ", ".join(f"{w.shape}/{b.shape}" for w, b in
-                        ((wq, bq), (wk, bk), (wv, bv), (wo, bo))))
+            f"{beta.shape} and weights {wq.shape}/{bq.shape}, {wk.shape}, "
+            f"{wv.shape}/{bv.shape}, {wo.shape}/{bo.shape}")
     m_q = math.prod(lead) * n_q
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
@@ -532,7 +530,7 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
 
     ln = _scale_shift(x_data, gamma_data, beta_data)
     q = _affine_data(query_rows(ln), wq_data, bq.data)
-    k = _affine_data(ln, wk_data, bk.data)
+    k = (ln.reshape(-1, d) @ wk_data).reshape(ln.shape)
     v = _affine_data(ln, wv_data, bv.data)
     del ln
     p = scores(split(q, n_q), split(k, n))
@@ -542,7 +540,7 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
     row_sum = p.sum(axis=-1, keepdims=True)
     p /= row_sum
 
-    def back(g, sx, sgamma, sbeta, swq, sbq, swk, sbk, swv, sbv, swo, sbo):
+    def back(g, sx, sgamma, sbeta, swq, sbq, swk, swv, sbv, swo, sbo):
         qh, kh, vh = split(q, n_q), split(k, n), split(v, n)
         p = scores(qh, kh)
         p -= row_max
@@ -550,7 +548,7 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
         p /= row_sum
         grad_x = not (sx is sgamma is sbeta is None)
         need_v, need_k, need_q = (grad_x or not (sw is sb is None) for sw, sb
-                                  in ((swv, sbv), (swk, sbk), (swq, sbq)))
+                                  in ((swv, sbv), (swk, None), (swq, sbq)))
         smixed = _Slot(g.dtype) if need_v or need_k or need_q else None
         mixed = None if swo is None else merge(p @ vh, n_q)
         _affine_back(g, mixed, wo_data, b_shape, smixed, swo, sbo)
@@ -578,7 +576,7 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
         if need_k:
             # As (qh^T @ gs)^T, the orientation of the unfused q @ k^T.
             gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-            _affine_back(merge(gk, n), ln, wk_data, b_shape, sln, swk, sbk)
+            _affine_back(merge(gk, n), ln, wk_data, b_shape, sln, swk, None)
             del gk
         if need_q:
             srows = sln if keep is None or sln is None else _Slot(sln.dtype)
@@ -594,7 +592,7 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
 
     out_data = np.empty((m_q, d), np.result_type(v, wo_data))
     out = _op(out_data.reshape(*lead, n_q, d),
-              (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo), back)
+              (x, gamma, beta, wq, bq, wk, wv, bv, wo, bo), back)
     mixed = merge(p @ split(v, n), n_q).reshape(m_q, d)
     if not out.requires_grad:
         q = k = v = None

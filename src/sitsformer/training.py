@@ -39,7 +39,7 @@ from .tensor import (
 )
 
 STATE_MAGIC = b"SFTS"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 # Adam moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9

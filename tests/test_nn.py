@@ -172,12 +172,13 @@ class TestEncoder:
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
 
     def test_parameter_count_formula(self):
-        # Per block at mlp_ratio 4: attention 4(d^2+d), mlp 8d^2+5d, norms 4d.
+        # Per block at mlp_ratio 4: attention 4d^2+3d (the key has no bias),
+        # mlp 8d^2+5d, norms 4d.
         d, depth = 128, 4
         enc = make_encoder(dim=d, depth=depth, heads=4, mlp_ratio=4)
         counted = sum(p.size for _, p in nn.named_parameters(enc, "enc"))
-        formula = depth * (4 * d * d + 4 * d + 8 * d * d + 5 * d + 4 * d)
-        assert counted == formula == 793_088
+        formula = depth * (4 * d * d + 3 * d + 8 * d * d + 5 * d + 4 * d)
+        assert counted == formula == 792_576
 
     def test_permutation_equivariance_through_stack(self):
         enc = make_encoder(dim=8, depth=3, seed=18)
@@ -412,9 +413,8 @@ class TestTapeMemory:
         assert all(any(a is x for a in tokens) for x in norms)
         ln = norms[0] * block.ln1.gamma.data + block.ln1.beta.data
         projections = [ln[:, :n_q] @ block.attn.q.weight.data
-                       + block.attn.q.bias.data]
-        projections += [ln @ w.weight.data + w.bias.data
-                        for w in (block.attn.k, block.attn.v)]
+                       + block.attn.q.bias.data, ln @ block.attn.k.data,
+                       ln @ block.attn.v.weight.data + block.attn.v.bias.data]
         rest = [a for a in tokens if not any(a is x for x in norms)]
         for want in projections:
             assert sum(a.shape == want.shape and np.allclose(a, want)

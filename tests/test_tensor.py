@@ -17,20 +17,22 @@ def t64(arr, requires_grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
+def attention_shapes(d):
+    """Shapes of ``T.attention``'s inputs after the tokens at width ``d``:
+    the norm's scale and shift, then the q, k, v and output projections,
+    of which only k has no bias."""
+    return [(d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]
+
+
 def attention_case(keep):
-    """``T.attention`` over 2 heads of the inputs but the key bias, which is
-    zero: the softmax cancels it, so its gradient is rounding noise that
-    finite differences cannot resolve (the bitwise tests cover it). The
-    query weight enters at a tenth of its drawn size, so the scores stay
-    O(1) as at init, where central differences resolve the softmax."""
+    """``T.attention`` over 2 heads. The query weight enters at a tenth of
+    its drawn size, so the scores stay O(1) as at init, where central
+    differences resolve the softmax."""
 
-    def call(x, gamma, beta, wq, bq, wk, wv, bv, wo, bo):
-        return T.attention(x, gamma, beta, wq * 0.1, bq, wk,
-                           Tensor(np.zeros_like(bq.data)), wv, bv, wo, bo,
-                           2, keep)[0]
+    def call(x, gamma, beta, wq, *rest):
+        return T.attention(x, gamma, beta, wq * 0.1, *rest, 2, keep)[0]
 
-    return call, [(2, 3, 4), (4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,),
-                  (4, 4), (4,)]
+    return call, [(2, 3, 4)] + attention_shapes(4)
 
 
 # Every differentiable primitive, as (call, input shapes): matmul against a
@@ -200,7 +202,7 @@ class TestLayerNorm:
         xhat = T.layer_norm(Tensor(np.zeros((2, 3, 4))))
         w, b, bad = Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)), Tensor(np.ones(3))
         with pytest.raises(ShapeError, match=r"norm \(3,\)/\(4,\)"):
-            T.attention(xhat, bad, b, *[w, b] * 4, 2, None)
+            T.attention(xhat, bad, b, w, b, w, w, b, w, b, 2, None)
         with pytest.raises(ShapeError, match=r"norm \(4,\)/\(3,\)"):
             T.mlp(xhat, b, bad, w, b, w, b)
 
@@ -216,11 +218,12 @@ class TestLayerNorm:
         assert check_gradients(loss, [x]) < 1e-5
 
 
-def unfused_attention(xhat, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
+def unfused_attention(xhat, gamma, beta, wq, bq, wk, wv, bv, wo, bo,
                       heads, keep, affine=T.affine):
     """``T.attention`` as the ops it folds: the norm's scale and shift, the
-    getitem of the query rows, the q, k and v affines, split heads, scores,
-    scale, softmax, mix, merge and the output affine."""
+    getitem of the query rows, the q and v affines, the key product on the
+    flattened rows, split heads, scores, scale, softmax, mix, merge and the
+    output affine."""
     b, n, d = xhat.shape
     n_q, dh = n if keep is None else keep, d // heads
 
@@ -230,7 +233,9 @@ def unfused_attention(xhat, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
     ln = xhat * gamma + beta
     rows = ln if keep is None else T.getitem(ln, (..., slice(0, keep),
                                                   slice(None)))
-    q, k, v = affine(rows, wq, bq), affine(ln, wk, bk), affine(ln, wv, bv)
+    q = affine(rows, wq, bq)
+    k = T.reshape(T.matmul(T.reshape(ln, (b * n, d)), wk), (b, n, d))
+    v = affine(ln, wv, bv)
     q, k, v = split(q, n_q), split(k, n), split(v, n)
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
@@ -289,7 +294,7 @@ class TestFusedOps:
                           requires_grad=True)
 
         z = leaf(b, n, d)
-        params = [leaf(d), leaf(d)] + [leaf(*s) for s in [(d, d), (d,)] * 4]
+        params = [leaf(*s) for s in attention_shapes(d)]
         coef = Tensor(rng.standard_normal((b, n, d)).astype(np.float32))
 
         def composed_affine(x, w, bias):
@@ -311,12 +316,12 @@ class TestFusedOps:
     @pytest.mark.parametrize("keep", [None, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_matches_unfused_ops_bitwise(self, dtype, keep):
-        # Every subset of the eleven inputs that train, the normalised
-        # tokens counted as one through the layer norm's input.
+        # Every subset of the ten inputs that train, the normalised tokens
+        # counted as one through the layer norm's input.
         b, n, d, heads = 2, 4, 4, 2
         rng = np.random.default_rng(15)
         leaves = [Tensor(rng.standard_normal(s).astype(dtype)) for s in
-                  [(b, n, d), (d,), (d,)] + [(d, d), (d,)] * 4]
+                  [(b, n, d)] + attention_shapes(d)]
         coef = Tensor(rng.standard_normal(
             (b, n if keep is None else keep, d)).astype(dtype))
 
@@ -377,10 +382,10 @@ class TestFusedOps:
         with pytest.raises(ShapeError):
             T.affine(x, Tensor(np.zeros((5, 2))), Tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
-            T.attention(x, b, b, *[w, b] * 4, 3, None)
+            T.attention(x, b, b, w, b, w, w, b, w, b, 3, None)
         for keep in (0, 4):
             with pytest.raises(ShapeError, match=f"{keep} of 3 tokens"):
-                T.attention(x, b, b, *[w, b] * 4, 2, keep)
+                T.attention(x, b, b, w, b, w, w, b, w, b, 2, keep)
         for w1, w2 in (((5, 6), (6, 4)), ((4, 6), (5, 4))):
             with pytest.raises(ShapeError, match="mlp"):
                 T.mlp(x, b, b, Tensor(np.zeros(w1)), Tensor(np.zeros(6)),
@@ -388,12 +393,12 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("i, shape", [
         (3, (4, 6)),  # the query weight is not square
-        (6, (5,)),  # the key bias is not input-wide
-        (9, (6, 4)),  # the output weight does not take the heads' width
+        (7, (5,)),  # the value bias is not input-wide
+        (8, (6, 4)),  # the output weight does not take the heads' width
         (0, (2, 3, 6)),  # the input is wider than every weight
-    ], ids=["query_weight", "key_bias", "output_weight", "input"])
+    ], ids=["query_weight", "value_bias", "output_weight", "input"])
     def test_attention_shape_mismatch_names_every_shape(self, i, shape):
-        shapes = [(2, 3, 4), (4,), (4,)] + [(4, 4), (4,)] * 4
+        shapes = [(2, 3, 4)] + attention_shapes(4)
         shapes[i] = shape
         inputs = [Tensor(np.zeros(s)) for s in shapes]
         with pytest.raises(ShapeError) as err:
