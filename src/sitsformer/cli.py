@@ -147,7 +147,7 @@ def _build_trained_paths(out_dir):
     )
 
 
-def _train_once(run: RunConfig, resume: bool) -> float:
+def _train_once(run: RunConfig, resume: bool) -> None:
     records = _load_records(run, "train")
     model = SitsFormer(run.model, temporal_keys=_temporal_keys(records),
                        seed=run.train.seed)
@@ -155,10 +155,9 @@ def _train_once(run: RunConfig, resume: bool) -> float:
     log_path, ckpt_path, state_path = _build_trained_paths(run.out_dir)
     if not resume and os.path.exists(log_path):
         os.remove(log_path)
-    best = train_loop(model, records, run.train, log_path, ckpt_path,
-                      state_path=state_path, resume=resume)
-    log.info("training done, best mIoU %.4f", best)
-    return best
+    train_loop(model, records, run.train, log_path, ckpt_path,
+               state_path=state_path, resume=resume)
+    log.info("training done: %s", run.out_dir)
 
 
 def _score(run: RunConfig, checkpoint, split: str):
@@ -200,9 +199,12 @@ def _apply_overrides(run: RunConfig, args) -> RunConfig:
 
 def _cmd_train(args) -> int:
     run = _apply_overrides(parse_run_config(args.config), args)
+    # Written after training, so a refused resume changes no file.
+    _train_once(run, args.resume)
     write_resolved_config(run)
-    best = _train_once(run, args.resume)
-    print(f"best train mIoU {best:.6f}")
+    with open(_build_trained_paths(run.out_dir)[0], encoding="utf-8") as f:
+        miou = f.read().splitlines()[-1].rsplit(",", 1)[1]
+    print(f"final train mIoU {miou}")
     return 0
 
 

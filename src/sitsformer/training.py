@@ -9,14 +9,17 @@ back-propagates each micro-batch right after its forward, so one
 micro-batch's tape is alive at a time whatever the batch size, and the
 size comes from a fixed value budget, ``BUDGET``, not from ``batch_size``.
 A batch's loss is the mean of its per-sample losses. Both loops are
-reproducible bit for bit from (seed, data), and a resumed run continues
-the uninterrupted one exactly.
+reproducible bit for bit from (seed, data). Training keeps one model: the
+checkpoint holds the last epoch's weights, written each epoch. A resumed
+run continues the uninterrupted one exactly, and refuses a state whose
+fingerprint says it belongs to another config, recipe or dataset.
 
 Labels are checked once, by ``data.load_split``; the losses trust them. A
 hand-built label that does not fit the logits fails in ``gather_last``
 (ShapeError) or numpy's indexing (IndexError).
 """
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass, fields
@@ -39,7 +42,7 @@ from .tensor import (
 )
 
 STATE_MAGIC = b"SFTS"
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 # Adam moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
@@ -247,17 +250,16 @@ def _drop_log_lines_after(log_path, epoch: int) -> None:
 
 
 def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
-               checkpoint_path, state_path=None, resume: bool = False,
-               stop_after_epoch=None):
+               checkpoint_path, state_path=None, resume: bool = False):
     """Deterministic training over in-memory samples.
 
     Appends one "epoch,step,lr,loss,OA,mIoU" line per epoch to log_path and
-    keeps the best-mIoU weights at checkpoint_path. When state_path is set,
-    the full optimizer state is written each epoch; resume=True picks that
-    state up, drops any log line past its epoch, and continues exactly as
-    the uninterrupted run would have.
-    stop_after_epoch ends the process early without shortening the schedule,
-    emulating an interrupted run that a later resume completes.
+    writes each epoch's weights to checkpoint_path, so it holds the last
+    epoch's. When state_path is set, the full optimizer state is written
+    each epoch, with a fingerprint of the run (``_fingerprint``);
+    resume=True picks that state up, refuses it with ConfigError if the
+    fingerprint differs, drops any log line past its epoch, and continues
+    exactly as the uninterrupted run would have.
     """
     samples = list(samples)
     if not samples:
@@ -268,14 +270,15 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
     params = model.parameters()
     opt = AdamWState(params)
     start_epoch = 1
-    global_step = 0
-    best_miou = -1.0
+    fingerprint = (None if state_path is None
+                   else _fingerprint(model, samples, cfg))
     if resume:
         if state_path is None or not os.path.exists(state_path):
             raise ConfigError("resume requested but no training state file found")
-        start_epoch, global_step, best_miou = load_training_state(
-            state_path, model, opt
-        )
+        start_epoch, _, stored = load_training_state(state_path, model, opt)
+        if stored != fingerprint:
+            raise ConfigError(f"{state_path} is another run's state: model "
+                              "config, day keys, recipe or samples differ")
         _drop_log_lines_after(log_path, start_epoch)
         start_epoch += 1
 
@@ -304,12 +307,11 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
                 backward(loss * share)
             recent_losses.append(loss_value)
             del recent_losses[:-20]
-            global_step += 1
-            lr = lr_at_step(cfg, steps_per_epoch, global_step)
+            step = opt.step_count + 1
+            lr = lr_at_step(cfg, steps_per_epoch, step)
             grad_norm = clip_grad_norm(params)
             if not (math.isfinite(loss_value) and math.isfinite(grad_norm)):
-                raise TrainingDiverged(global_step, lr, recent_losses,
-                                       grad_norm)
+                raise TrainingDiverged(step, lr, recent_losses, grad_norm)
             adamw_step(params, opt, lr, cfg.weight_decay)
             epoch_losses.append(loss_value)
         oa, miou, _ = metrics(cm)
@@ -317,18 +319,12 @@ def train_loop(model: SitsFormer, samples, cfg: TrainConfig, log_path,
         # repr round-trips floats exactly, so the logged lr IS lr_at_step.
         with open(log_path, "a", encoding="utf-8") as f:
             f.write(
-                f"{epoch},{global_step},{lr!r},{mean_loss!r},"
+                f"{epoch},{opt.step_count},{lr!r},{mean_loss!r},"
                 f"{oa:.6f},{miou:.6f}\n"
             )
-        if miou > best_miou:
-            best_miou = miou
-            save_checkpoint(checkpoint_path, model)
+        save_checkpoint(checkpoint_path, model)
         if state_path is not None:
-            save_training_state(state_path, model, opt, epoch, global_step,
-                                best_miou)
-        if stop_after_epoch is not None and epoch >= stop_after_epoch:
-            break
-    return best_miou
+            save_training_state(state_path, model, opt, epoch, fingerprint)
 
 
 def evaluate(model: SitsFormer, samples):
@@ -358,9 +354,22 @@ def evaluate(model: SitsFormer, samples):
 @dataclass(frozen=True)
 class _StateHeader:
     epoch: int
-    global_step: int
-    opt_step: int
-    best_miou: float
+    step: int
+    fingerprint: str
+
+
+def _fingerprint(model: SitsFormer, samples, cfg: TrainConfig) -> str:
+    """sha256 over what a resumed run must share with the run it continues:
+    the model config, its day keys, the recipe, and every sample's dates,
+    values and labels in order. The arrays are hashed in place.
+    """
+    h = hashlib.sha256(container.config_text(model.config).encode("utf-8"))
+    h.update(np.ascontiguousarray(model.temporal_pe.keys))
+    h.update(container.config_text(cfg).encode("utf-8"))
+    for r in samples:
+        for a in (r.dates, r.values, r.labels):
+            h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
 
 
 def _state_tensors(model: SitsFormer, opt: AdamWState):
@@ -371,19 +380,20 @@ def _state_tensors(model: SitsFormer, opt: AdamWState):
 
 
 def save_training_state(path, model: SitsFormer, opt: AdamWState, epoch: int,
-                        global_step: int, best_miou: float) -> None:
+                        fingerprint: str) -> None:
     """Write weights plus optimizer moments so a run can continue bitwise."""
-    header = _StateHeader(epoch, global_step, opt.step_count, best_miou)
     with container.create(path, STATE_MAGIC, STATE_VERSION) as w:
-        w.header(header)
+        w.header(_StateHeader(epoch, opt.step_count, fingerprint))
         w.tensors(_state_tensors(model, opt))
 
 
 def load_training_state(path, model: SitsFormer, opt: AdamWState):
-    """Restore weights and moments in place; returns (epoch, step, best_miou)."""
+    """Restore weights, moments and step count in place; returns
+    (epoch, step, fingerprint).
+    """
     r = container.Reader(path, STATE_MAGIC, STATE_VERSION, "training state")
     header = r.header(_StateHeader)
     r.tensors(_state_tensors(model, opt))
     r.end()
-    opt.step_count = header.opt_step
-    return header.epoch, header.global_step, header.best_miou
+    opt.step_count = header.step
+    return header.epoch, header.step, header.fingerprint

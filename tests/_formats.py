@@ -4,6 +4,8 @@ Format tests run the same checks over every format through FORMATS; the
 byte pins in test_container.py hash what these writers produce.
 """
 
+import hashlib
+
 import numpy as np
 
 from sitsformer.cli import RunConfig, write_resolved_config
@@ -31,6 +33,8 @@ TOY = dict(n_classes=3, dim=8, depth_temporal=1, depth_spatial=1, n_heads=2,
 
 # Bytes 6-9 hold the header length; the key=value text starts here.
 HEADER_TEXT_OFFSET = 10
+# The run fingerprint write_state records; any sha256 hex digest will do.
+STATE_FINGERPRINT = hashlib.sha256(b"toy run").hexdigest()
 
 
 def toy_model(seed=21):
@@ -59,7 +63,7 @@ def write_state(path):
     for i, p in enumerate(params):
         p.grad = np.full_like(p.data, 0.25 * (i + 1))
     adamw_step(params, opt, lr=1e-3, weight_decay=0.01)
-    save_training_state(path, model, opt, 3, 7, 0.1 + 0.2)
+    save_training_state(path, model, opt, 3, STATE_FINGERPRINT)
 
 
 def read_state(path):

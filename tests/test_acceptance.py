@@ -278,7 +278,7 @@ def test_ablation_direction(tmp_path):
 
 
 @criterion(8, "io determinism")
-def test_io_determinism(tmp_path):
+def test_io_determinism(tmp_path, kill_after_state):
     # (a) a sample file round-trips bitwise and re-writes byte-identically.
     specs = default_class_specs(3, channels=2, noise_std=0.05, cloud_prob=0.1)
     record = generate_sample(4, 99, specs, grid=(6, 6), t_range=(5, 8))
@@ -303,7 +303,7 @@ def test_io_determinism(tmp_path):
     cfg = TrainConfig(epochs=4, batch_size=4, warmup_epochs=1, peak_lr=3e-3,
                       seed=5)
 
-    def train_run(tag, epochs=None, stop_after=None, resume=False):
+    def train_run(tag, epochs=None, resume=False):
         run_cfg = cfg if epochs is None else dataclasses.replace(
             cfg, epochs=epochs
         )
@@ -312,7 +312,7 @@ def test_io_determinism(tmp_path):
         state = str(tmp_path / f"{tag}.state")
         train_loop(model, records, run_cfg, log,
                    str(tmp_path / f"{tag}.ckpt"), state_path=state,
-                   resume=resume, stop_after_epoch=stop_after)
+                   resume=resume)
         return model, log
 
     model_1, log_1 = train_run("one")
@@ -323,10 +323,11 @@ def test_io_determinism(tmp_path):
                                      model_2.named_parameters()):
         assert np.array_equal(p_1.data, p_2.data), name
 
-    # (c) stop after epoch 3, resume, and land bit-for-bit on the
+    # (c) kill after epoch 3's state, resume, and land bit-for-bit on the
     # uninterrupted 6-epoch run.
     model_full, log_full = train_run("full", epochs=6)
-    train_run("part", epochs=6, stop_after=3)
+    with kill_after_state(3):
+        train_run("part", epochs=6)
     model_resumed, _ = train_run("part", epochs=6, resume=True)
     for (name, p_a), (_, p_b) in zip(model_full.named_parameters(),
                                      model_resumed.named_parameters()):

@@ -27,7 +27,7 @@ from sitsformer.data import (
     write_sample,
 )
 from sitsformer.errors import ConfigError, DataError
-from sitsformer.model import ModelConfig
+from sitsformer.model import ModelConfig, load_checkpoint
 from sitsformer.training import TrainConfig
 
 TOY_CFG = {
@@ -215,6 +215,58 @@ def test_seed_override_changes_trajectory(trained, tmp_path):
                  "--out-dir", str(tmp_path / "o5")]) == 0
     assert (tmp_path / "o5" / "metrics.csv").read_bytes() != \
         (out / "metrics.csv").read_bytes()
+
+
+def test_checkpoint_holds_the_last_epochs_weights(trained, tmp_path, capsys,
+                                                  monkeypatch):
+    # Epoch 2 has this run's best train mIoU; the checkpoint still holds
+    # the weights that training ended with, and train prints the last mIoU.
+    _, _, _, cfg = trained
+    models = []
+    train_loop = cli.train_loop
+
+    def keep_model(model, *args, **kwargs):
+        models.append(model)
+        return train_loop(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_loop", keep_model)
+    out = tmp_path / "o"
+    assert main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+    mious = [line.rsplit(",", 1)[1]
+             for line in (out / "metrics.csv").read_text().splitlines()]
+    assert float(mious[-1]) < max(map(float, mious[:-1]))
+    loaded = load_checkpoint(out / "best.ckpt")
+    for (name, a), (_, b) in zip(models[0].named_parameters(),
+                                 loaded.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+    assert capsys.readouterr().out == f"final train mIoU {mious[-1]}\n"
+
+
+@pytest.mark.parametrize("overrides, flags, code", [
+    ({}, [], 0),
+    ({"epochs": "4"}, [], 2),
+    ({}, ["--seed", "5"], 2),
+], ids=["finished-run", "epochs-changed", "seed-changed"])
+def test_train_resume(trained, tmp_path, capsys, overrides, flags, code):
+    """Resuming a finished run rewrites none of its outputs; resuming it
+    under another recipe is refused, and changes no file at all."""
+    dataset, _, out, _ = trained
+    shutil.copytree(out, tmp_path / "o")
+    cfg = _write_cfg(tmp_path / "run.cfg", dataset, tmp_path / "o",
+                     **overrides)
+
+    def files():
+        return {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+
+    before = files()
+    assert main(["train", "--config", cfg, "--resume", *flags]) == code
+    after = files()
+    if code == 0:
+        for name in ("metrics.csv", "best.ckpt", "train.state"):
+            assert after[name] == before[name], name
+    else:
+        assert after == before
+        assert "another run" in capsys.readouterr().err
 
 
 def test_eval_reports_metrics(trained, capsys):

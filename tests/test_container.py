@@ -4,7 +4,7 @@ import hashlib
 import os
 
 import pytest
-from _formats import FORMATS, TOY, write_pinned_files
+from _formats import FORMATS, STATE_FINGERPRINT, TOY, write_pinned_files
 
 from sitsformer import container
 from sitsformer.cli import RunConfig, parse_run_config
@@ -14,13 +14,14 @@ from sitsformer.model import ModelConfig, load_checkpoint
 from sitsformer.training import TrainConfig
 
 # sha256 of the files write_pinned_files produces, taken from the writers
-# as they were before the formats moved into container.py; toy.ckpt and
-# train.state as of their version 2, which has no key bias. Any change here
-# is an on-disk format change. The run config sets warmup_epochs=2 because
+# as they were before the formats moved into container.py; toy.ckpt as of
+# its version 2, which has no key bias, and train.state as of its version
+# 3, whose header holds one step count and the run fingerprint. Any change
+# here is an on-disk format change. The run config sets warmup_epochs=2 because
 # TrainConfig rejects the default warmup of 10 in a 7-epoch run.
 PINS = {
     "toy.ckpt": "2f534544e66a512dd99c00ecac90fb953bb713282312d0dae77771ac5a6790f5",
-    "train.state": "e9f5089bd436ba0e92d0dfd75f53c424901fd4261ba45507bf26d7da97907ad1",
+    "train.state": "cd1385edbd4eb3782ea3f2ff569be57561a0824e882c1cd260fe493bc609df44",
     "seg.sits": "2936264541b283ae4d60d33e9d5ea58b5c7c32f7a66c932e2458db1ea34a457e",
     "cls.sits": "d8ff276281ea66ef9c3cea4f419b4cb1a2deecef1ccd4af1bc709dc65e4f659d",
     "manifest.csv": "c061b7d327538f59c0544237ee78f7f96ecaa81349071e4b3d8d5b265be02de3",
@@ -39,7 +40,7 @@ def test_written_bytes_match_pins(tmp_path, monkeypatch):
     assert digests == PINS
     # The pinned files must load as well.
     assert load_checkpoint("toy.ckpt").config == ModelConfig(**TOY)
-    assert FORMATS["state"][1]("train.state") == (3, 7, 0.1 + 0.2)
+    assert FORMATS["state"][1]("train.state") == (3, 1, STATE_FINGERPRINT)
     assert read_sample("cls.sits").labels == 2
     assert read_manifest(".").class_names == ("a", "b", "c")
     assert parse_run_config("run/resolved.cfg").train.floor_lr == 1e-7

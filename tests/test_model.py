@@ -601,6 +601,18 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="99"):
             read(path)
 
+    def test_version_2_state_rejected(self, tmp_path):
+        # Version 2 held best_miou and a second step count, and no
+        # fingerprint; its files are refused, not read.
+        write, read = FORMATS["state"]
+        path = tmp_path / "state"
+        write(path)
+        blob = bytearray(path.read_bytes())
+        blob[4:6] = (2).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CompatibilityError, match="version 2 unsupported"):
+            read(path)
+
     @pytest.mark.parametrize("fmt", HEADER_FORMATS)
     def test_truncation_reports_offset(self, tmp_path, fmt):
         write, read = FORMATS[fmt]
@@ -618,13 +630,13 @@ class TestCheckpoint:
         ("checkpoint", lambda t: t.replace(b"dim=8", b"dim=3")),
         ("state", lambda t: t.replace(b"\n", b"\n\xff", 1)),
         ("state", lambda t: t.replace(b"epoch=3\n", b"epoch=x\n")),
-        ("state", lambda t: re.sub(rb"opt_step=\d+\n", b"", t)),
+        ("state", lambda t: re.sub(rb"step=\d+\n", b"", t)),
         ("checkpoint", lambda t: t.replace(b"temporal_keys=3,17",
                                            b"temporal_keys=3,03")),
         ("checkpoint", lambda t: t + b"n_classes=3\n"),
         ("state", lambda t: t + b"epoch=3\n"),
     ], ids=["bad-temporal-key", "ckpt-not-utf8", "invalid-config",
-            "state-not-utf8", "bad-epoch", "missing-opt-step",
+            "state-not-utf8", "bad-epoch", "missing-step",
             "repeated-temporal-key", "ckpt-repeated-key",
             "state-repeated-key"])
     def test_corrupt_header_is_format_error(self, tmp_path, fmt, edit):

@@ -361,7 +361,8 @@ class TestTrainLoop:
         assert logs[0] == logs[1]
         np.testing.assert_array_equal(finals[0], finals[1])
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path,
+                                                 kill_after_state):
         cfg = tr.TrainConfig(**TINY_TRAIN)
 
         model_a, records = tiny_setup()
@@ -372,8 +373,9 @@ class TestTrainLoop:
         model_b, records_b = tiny_setup()
         log_b = tmp_path / "b.csv"
         state_b = tmp_path / "b.state"
-        tr.train_loop(model_b, records_b, cfg, log_b, tmp_path / "b.ckpt",
-                      state_path=state_b, stop_after_epoch=3)
+        with kill_after_state(3):
+            tr.train_loop(model_b, records_b, cfg, log_b, tmp_path / "b.ckpt",
+                          state_path=state_b)
 
         model_c, records_c = tiny_setup()
         tr.train_loop(model_c, records_c, cfg, log_b, tmp_path / "b.ckpt",
@@ -384,7 +386,8 @@ class TestTrainLoop:
             np.testing.assert_array_equal(pa.data, pc.data)
         assert log_a.read_bytes() == log_b.read_bytes()
 
-    def test_resume_after_kill_between_log_and_state(self, tmp_path):
+    def test_resume_after_kill_between_log_and_state(self, tmp_path,
+                                                     kill_after_state):
         # A kill after epoch 3's log line but before its state leaves the
         # state at epoch 2; the resumed run must not log epoch 3 twice.
         cfg = tr.TrainConfig(**TINY_TRAIN)
@@ -395,8 +398,9 @@ class TestTrainLoop:
         model_b, records_b = tiny_setup()
         log_b = tmp_path / "b.csv"
         state_b = tmp_path / "b.state"
-        tr.train_loop(model_b, records_b, cfg, log_b, tmp_path / "b.ckpt",
-                      state_path=state_b, stop_after_epoch=2)
+        with kill_after_state(2):
+            tr.train_loop(model_b, records_b, cfg, log_b, tmp_path / "b.ckpt",
+                          state_path=state_b)
         epoch_3 = log_a.read_text(encoding="utf-8").splitlines(True)[2]
         with open(log_b, "a", encoding="utf-8") as f:
             f.write(epoch_3)
@@ -405,6 +409,22 @@ class TestTrainLoop:
         tr.train_loop(model_c, records_c, cfg, log_b, tmp_path / "b.ckpt",
                       state_path=state_b, resume=True)
         assert log_b.read_bytes() == log_a.read_bytes()
+
+    def test_resume_refuses_other_samples(self, tmp_path):
+        # One changed value in one sample is another run; the refused
+        # resume leaves the log as it was.
+        cfg = tr.TrainConfig(**TINY_TRAIN)
+        model, records = tiny_setup()
+        log, state = tmp_path / "log.csv", tmp_path / "train.state"
+        tr.train_loop(model, records, cfg, log, tmp_path / "ckpt",
+                      state_path=state)
+        before = log.read_bytes()
+        model, records = tiny_setup()
+        records[-1].values[0, 0, 0, 0] += 1.0
+        with pytest.raises(ConfigError, match="another run"):
+            tr.train_loop(model, records, cfg, log, tmp_path / "ckpt",
+                          state_path=state, resume=True)
+        assert log.read_bytes() == before
 
     def test_nan_loss_aborts_with_diagnostics(self, tmp_path):
         model, records = tiny_setup()
@@ -479,23 +499,25 @@ def test_micro_batch_rule_is_pinned(config, batch_size, expected):
     assert tr.micro_batch_size(config, batch_size) == expected
 
 
-def test_resume_with_uneven_micro_batches_is_bitwise(tmp_path):
+def test_resume_with_uneven_micro_batches_is_bitwise(tmp_path,
+                                                     kill_after_state):
     # Batches of 3 split into micro-batches of 2 and 1, and the epoch's
     # last batch holds 1 sample; stopping after epoch 1 and resuming lands
     # on the uninterrupted run's files byte for byte.
     cfg = tr.TrainConfig(epochs=3, batch_size=3, warmup_epochs=1, seed=4)
     assert tr.micro_batch_size(DEMO, cfg.batch_size) == 2
 
-    def run(tag, **kwargs):
+    def run(tag, resume=False):
         model, records = demo_setup(7)
         tr.train_loop(model, records, cfg, tmp_path / tag / "metrics.csv",
                       tmp_path / tag / "best.ckpt",
-                      state_path=tmp_path / tag / "train.state", **kwargs)
+                      state_path=tmp_path / tag / "train.state", resume=resume)
 
     for tag in ("full", "part"):
         (tmp_path / tag).mkdir()
     run("full")
-    run("part", stop_after_epoch=1)
+    with kill_after_state(1):
+        run("part")
     assert len((tmp_path / "part" / "metrics.csv").read_text().splitlines()) == 1
     run("part", resume=True)
     for name in ("metrics.csv", "best.ckpt", "train.state"):
