@@ -17,10 +17,12 @@ calls. Attention, with LN1's scale and shift and every projection, and the
 MLP, with LN2's scale and shift, are one tape primitive each
 (``tensor.attention``, ``tensor.mlp``). Neither keeps its large
 intermediates for backward: both read the norm's output, which the norm
-keeps anyway, instead of keeping it scaled and shifted; attention keeps q,
-k, v and each softmax row's max and sum instead of the probabilities and
-the merged heads, and the MLP keeps the fc1 product instead of the GELU
-output and slope. Backward rebuilds them, with the same bits.
+keeps anyway, instead of keeping it scaled and shifted, and attention adds
+only each softmax row's max and sum. Backward rebuilds the rest, from q, k,
+v and the fc1 product to the probabilities and the GELU output, with the
+forward's own ops and the same bits. So a block's tape holds its two norm
+outputs and per-row statistics, and the weights must not change between
+a forward and its ``backward``.
 """
 
 from __future__ import annotations

@@ -19,13 +19,14 @@ carries a ``grad`` and a dtype but no data; a trainable leaf is its own slot.
 Closures receive their inputs' slots when they run, and capture only shapes
 and the arrays their backward reads. Any other array, such as a residual sum
 or the input of the final norm, is freed as soon as the forward code drops
-it. Where an array is large and can be rebuilt without a GEMM, the backward
-rebuilds it with the forward's own ops, so the bits are the same.
+it. Where an array is large, the backward rebuilds it from what is kept
+with the forward's own ops, GEMMs included, so the bits are the same.
 :func:`layer_norm` keeps its normalised output, which the op reading it
-shares instead of keeping ``xhat * gamma + beta``. :func:`mlp` keeps that
-and the fc1 product, not the GELU output or slope. :func:`attention` keeps
-it, q, k, v and each softmax row's max and sum, not the probabilities or
-the merged heads before the output projection.
+shares instead of keeping ``xhat * gamma + beta``. :func:`mlp` keeps only
+that, and :func:`attention` that and each softmax row's max and sum: q, k,
+v, the probabilities, the merged heads, the fc1 product and the GELU output
+and slope are all rebuilt, so a transformer block keeps two token-wide
+arrays.
 
 Values are float32 by default. float64 is supported so that gradient-checking
 code can compare against finite differences without drowning in rounding
@@ -487,14 +488,16 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
     (..., keep, d) and every token is still a key and a value (class
     attention); with ``None`` every token queries.
 
-    The tape keeps ``x``, which its norm keeps anyway, q, k, v and each
-    softmax row's max and sum (FlashAttention's row statistics, arXiv
-    2205.14135). The backward rebuilds ``ln``, the probabilities and the
-    merged heads from them with the forward's own ops, and adds up the
-    gradient of ``ln`` from v, k, then the query rows, as the unfused ops
-    did, so the output and every gradient are the same bits as theirs.
-    Returns the output and the (..., heads, n_q, n) probabilities as a
-    plain array that the tape does not hold.
+    The tape keeps ``x``, which its norm keeps anyway, and each softmax
+    row's max and sum (FlashAttention's row statistics, arXiv 2205.14135).
+    The backward rebuilds ``ln``, q, k and v from ``x`` with the forward's
+    own GEMMs, then the probabilities and the merged heads, and adds up
+    the gradient of ``ln`` from v, k, then the query rows, as the unfused
+    ops did, so the output and every gradient are the same bits as theirs.
+    It reads ``gamma``, ``beta`` and every weight, so none of them may
+    change between the forward and :func:`backward`. Returns the output
+    and the (..., heads, n_q, n) probabilities as a plain array that the
+    tape does not hold.
     """
     *lead, n, d = x.shape
     n_q = n if keep is None else keep
@@ -511,6 +514,7 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
     scale = 1.0 / math.sqrt(dh)
     x_data, gamma_data, beta_data = x.data, gamma.data, beta.data
     wq_data, wk_data, wv_data, wo_data = wq.data, wk.data, wv.data, wo.data
+    bq_data, bv_data = bq.data, bv.data
     b_shape = bo.shape
 
     def split(t, rows):
@@ -519,28 +523,43 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
     def merge(t, rows):
         return np.swapaxes(t, -2, -3).reshape(*lead, rows, d)
 
+    def mix(a, b, rows):
+        # a @ b per head, written straight into the merged (..., rows, d)
+        # layout: the same GEMMs as merge(a @ b, rows), without the copy.
+        out = np.empty((*lead, rows, d), np.result_type(a, b))
+        np.matmul(a, b, out=split(out, rows))
+        return out
+
     def query_rows(ln):
         # A copy of the leading rows, as the getitem that took them made.
         return ln if keep is None else np.array(ln[..., :keep, :], copy=True)
+
+    def project(ln):
+        # q, k and v of the scaled and shifted norm output, as the forward
+        # computes them and the backward rebuilds them.
+        return (_affine_data(query_rows(ln), wq_data, bq_data),
+                (ln.reshape(-1, d) @ wk_data).reshape(ln.shape),
+                _affine_data(ln, wv_data, bv_data))
 
     def scores(qh, kh):
         p = qh @ np.swapaxes(kh, -1, -2)
         p *= scale
         return p
 
-    ln = _scale_shift(x_data, gamma_data, beta_data)
-    q = _affine_data(query_rows(ln), wq_data, bq.data)
-    k = (ln.reshape(-1, d) @ wk_data).reshape(ln.shape)
-    v = _affine_data(ln, wv_data, bv.data)
-    del ln
+    q, k, v = project(_scale_shift(x_data, gamma_data, beta_data))
     p = scores(split(q, n_q), split(k, n))
+    del q, k
     row_max = p.max(axis=-1, keepdims=True)
     p -= row_max
     np.exp(p, out=p)
     row_sum = p.sum(axis=-1, keepdims=True)
     p /= row_sum
+    mixed = mix(p, split(v, n), n_q).reshape(m_q, d)
+    del v
 
     def back(g, sx, sgamma, sbeta, swq, sbq, swk, swv, sbv, swo, sbo):
+        ln = _scale_shift(x_data, gamma_data, beta_data)
+        q, k, v = project(ln)
         qh, kh, vh = split(q, n_q), split(k, n), split(v, n)
         p = scores(qh, kh)
         p -= row_max
@@ -550,23 +569,24 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
         need_v, need_k, need_q = (grad_x or not (sw is sb is None) for sw, sb
                                   in ((swv, sbv), (swk, None), (swq, sbq)))
         smixed = _Slot(g.dtype) if need_v or need_k or need_q else None
-        mixed = None if swo is None else merge(p @ vh, n_q)
+        mixed = None if swo is None else mix(p, vh, n_q)
         _affine_back(g, mixed, wo_data, b_shape, smixed, swo, sbo)
         del mixed
         if smixed is None:
             return
         gm = split(smixed.grad, n_q)
-        gv = merge(np.swapaxes(p, -1, -2) @ gm, n) if need_v else None
-        if need_k or need_q:
-            gs = gm @ np.swapaxes(vh, -1, -2)
+        del smixed
+        # Arrays go as soon as they are read for the last time, v before the
+        # softmax backward's product and p after gv, to lower the peak.
+        gs = gm @ np.swapaxes(vh, -1, -2) if need_k or need_q else None
+        del v, vh
+        if gs is not None:
             inner = (gs * p).sum(axis=-1, keepdims=True)
             gs -= inner
             gs *= p
             gs *= scale
+        gv = mix(np.swapaxes(p, -1, -2), gm, n) if need_v else None
         del p, gm
-        ln = None
-        if not (swq is swk is swv is None):
-            ln = _scale_shift(x_data, gamma_data, beta_data)
         # ln's gradient adds up in a slot from v, k, then the query rows, as
         # in the unfused ops' slots.
         sln = _Slot(x_data.dtype) if grad_x else None
@@ -578,10 +598,11 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
             gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
             _affine_back(merge(gk, n), ln, wk_data, b_shape, sln, swk, None)
             del gk
+        del q, qh
         if need_q:
             srows = sln if keep is None or sln is None else _Slot(sln.dtype)
-            _affine_back(merge(gs @ kh, n_q), None if ln is None else
-                         query_rows(ln), wq_data, b_shape, srows, swq, sbq)
+            _affine_back(mix(gs, kh, n_q), query_rows(ln), wq_data,
+                         b_shape, srows, swq, sbq)
             if srows is not sln:
                 # Back through the getitem that took the query rows.
                 pad = np.zeros(x_data.shape, sln.dtype)
@@ -590,32 +611,28 @@ def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
         if grad_x:
             _scale_shift_back(sln.grad, x_data, gamma_data, sx, sgamma, sbeta)
 
-    out_data = np.empty((m_q, d), np.result_type(v, wo_data))
-    out = _op(out_data.reshape(*lead, n_q, d),
-              (x, gamma, beta, wq, bq, wk, wv, bv, wo, bo), back)
-    mixed = merge(p @ split(v, n), n_q).reshape(m_q, d)
-    if not out.requires_grad:
-        q = k = v = None
-    np.matmul(mixed, wo_data, out=out_data)
+    out_data = mixed @ wo_data
     out_data += bo.data
-    return out, p
+    return _op(out_data.reshape(*lead, n_q, d),
+               (x, gamma, beta, wq, bq, wk, wv, bv, wo, bo), back), p
 
 
 def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
         w2: Tensor, b2: Tensor) -> Tensor:
     """``affine(gelu(affine(x * gamma + beta, w1, b1)), w2, b2)`` on the
     :func:`layer_norm` output ``x``, as one op that keeps only ``x``, which
-    its norm keeps anyway, and the fc1 product ``h`` (selective
-    recomputation, arXiv 2205.05198).
+    its norm keeps anyway (recomputation, arXiv 1604.06174 and 2205.05198).
 
     The forward takes the activation through :func:`gelu` under
-    :class:`no_grad`; unrecorded, it drops ``h`` before the fc2 GEMM. The
-    backward rebuilds the activation and GELU's slope from ``h`` with the
-    same kernel, and ``x * gamma + beta`` from ``x`` for fc1's weight
-    gradient, then runs the unfused form's GEMMs on the same operands, so
-    the output and every gradient are the same bits as the unfused ops'.
-    The rebuilt activation is freed after fc2's weight gradient, and the
-    fc1 gradient is scaled by the slope in place.
+    :class:`no_grad` and drops the fc1 product ``h`` before the fc2 GEMM.
+    The backward rebuilds ``x * gamma + beta`` and ``h`` from ``x`` with
+    the forward's own ops, the activation and GELU's slope from ``h`` with
+    the same kernel, then runs the unfused form's GEMMs on the same
+    operands, so the output and every gradient are the same bits as the
+    unfused ops'. One hidden-wide buffer holds ``h``, then the activation,
+    then fc1's output gradient, which is scaled by the slope in place. The
+    backward reads ``gamma``, ``beta``, ``w1``, ``b1`` and ``w2``, so none
+    of them may change between the forward and :func:`backward`.
     """
     (k, hidden), n, lead = w1.shape, w2.shape[-1], x.shape[:-1]
     if (x.shape[-1] != k or w2.shape[0] != hidden
@@ -624,46 +641,44 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
                          f"{gamma.shape}/{beta.shape} and weights {w1.shape} "
                          f"and {w2.shape}")
     m = math.prod(lead)
-    x_data, gamma_data, beta_data, w1_data, w2_data, b1_shape, b2_shape = (
-        x.data, gamma.data, beta.data, w1.data, w2.data, b1.shape, b2.shape)
-    h = _scale_shift(x_data, gamma_data, beta_data).reshape(m, k) @ w1_data
-    h += b1.data
+    x_data, gamma_data, beta_data, w1_data, b1_data, w2_data = (
+        x.data, gamma.data, beta.data, w1.data, b1.data, w2.data)
+    b1_shape, b2_shape = b1.shape, b2.shape
+    h = _affine_data(_scale_shift(x_data, gamma_data, beta_data).reshape(m, k),
+                     w1_data, b1_data)
     with no_grad():
         act = gelu(Tensor(h)).data
+    del h
 
     def back(g, sx, sgamma, sbeta, sw1, sb1, sw2, sb2):
         g2d = g.reshape(m, n)
-        act = np.empty_like(h)
+        ln = _scale_shift(x_data, gamma_data, beta_data).reshape(m, k)
         grad_x = not (sx is sgamma is sbeta is None)
-        slope = None if not grad_x and sw1 is sb1 is None else np.empty_like(h)
-        _gelu_into(h, act, slope)
+        buf = _affine_data(ln, w1_data, b1_data)
+        slope = (None if not grad_x and sw1 is sb1 is None
+                 else np.empty_like(buf))
+        _gelu_into(buf, buf, slope)
         if sw2 is not None:
-            _accum(sw2, act.T @ g2d, owned=True)
-        del act
+            _accum(sw2, buf.T @ g2d, owned=True)
         if sb2 is not None:
             _accum(sb2, _unbroadcast(g, b2_shape))
         if slope is None:
             return
-        gh = g2d @ w2_data.T
+        gh = np.matmul(g2d, w2_data.T, out=buf)
         gh *= slope
         del slope
         if grad_x:
             _scale_shift_back((gh @ w1_data.T).reshape(x_data.shape), x_data,
                               gamma_data, sx, sgamma, sbeta)
         if sw1 is not None:
-            ln = _scale_shift(x_data, gamma_data, beta_data)
-            _accum(sw1, ln.reshape(m, k).T @ gh, owned=True)
+            _accum(sw1, ln.T @ gh, owned=True)
         if sb1 is not None:
             _accum(sb1, _unbroadcast(gh.reshape(lead + (hidden,)), b1_shape))
 
-    out_data = np.empty((m, n), np.result_type(act, w2_data))
-    out = _op(out_data.reshape(lead + (n,)),
-              (x, gamma, beta, w1, b1, w2, b2), back)
-    if not out.requires_grad:
-        h = None
-    np.matmul(act, w2_data, out=out_data)
+    out_data = act @ w2_data
     out_data += b2.data
-    return out
+    return _op(out_data.reshape(lead + (n,)),
+               (x, gamma, beta, w1, b1, w2, b2), back)
 
 
 # -- layout ops ----------------------------------------------------------------
@@ -832,20 +847,28 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _op(out_data, (a,), back)
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, the same bits, without numpy's
+    Python-level ``mean`` wrapper: one add-reduce, then divided in place."""
+    out = np.add.reduce(a, axis=-1, keepdims=True)
+    out /= a.shape[-1]
+    return out
+
+
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization over the last axis, with no
     scale or shift; the normalized values are the only full-size array the
     op keeps. A block's learned scale and shift are applied by the op that
     reads its norm (:func:`attention`, :func:`mlp`).
     """
-    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    xhat = a.data - _mean_last(a.data)
+    var = _mean_last(xhat * xhat)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
 
     def back(g, sa):
-        term = g - g.mean(axis=-1, keepdims=True)
-        term -= xhat * (g * xhat).mean(axis=-1, keepdims=True)
+        term = g - _mean_last(g)
+        term -= xhat * _mean_last(g * xhat)
         # Not scaled in place: the product's memory order, which a
         # non-contiguous ``g`` sets, decides how later sums round.
         _accum(sa, inv_std * term, owned=True)
@@ -904,25 +927,26 @@ def _gelu_into(x: np.ndarray, out: np.ndarray,
     float64 takes ``Phi`` from ``math.erf``, one call per element (about
     0.1 us each; only float64 reference runs pay it); float32 from
     :func:`_phi_f32`, one block of ``_GELU_BLOCK`` elements at a time.
-    ``out`` and ``slope`` are C-contiguous arrays of ``x``'s shape.
+    ``out`` and ``slope`` are C-contiguous arrays of ``x``'s shape; ``out``
+    may be ``x`` itself, which each block reads before it is overwritten.
     """
     if x.dtype == np.float64:
         # Iterating .flat builds no array of Python floats (np.vectorize does).
         erf = np.fromiter(map(math.erf, (x * _INV_SQRT2).flat), np.float64,
                           count=x.size)
         phi_cdf = 0.5 * (1.0 + erf.reshape(x.shape))
-        np.multiply(x, phi_cdf, out=out)
         if slope is not None:
             _gelu_slope(x, phi_cdf, slope)
+        np.multiply(x, phi_cdf, out=out)
         return
     flat, out_flat = x.reshape(-1), out.reshape(-1)
     slope_flat = None if slope is None else slope.reshape(-1)
     for i in range(0, flat.size, _GELU_BLOCK):
         s = slice(i, i + _GELU_BLOCK)
         phi = _phi_f32(flat[s])
-        np.multiply(flat[s], phi, out=out_flat[s])
         if slope_flat is not None:
             _gelu_slope(flat[s], phi, slope_flat[s])
+        np.multiply(flat[s], phi, out=out_flat[s])
 
 
 def gelu(a: Tensor) -> Tensor:
